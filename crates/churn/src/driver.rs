@@ -1202,7 +1202,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         // the cache. At most one refresh per published epoch lands as a
         // stale read — the ≤1-round repair contract, in the CSV.
         let cache = self.route_cache.as_mut().expect("with_router sets the cache");
-        let space = cache.table().space();
+        let space = cache.snapshot().space();
         let before = cache.stats().counters();
         for i in 0..64u64 {
             cache.lookup(space.fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
@@ -1210,7 +1210,7 @@ impl<E: DhtEngine> ChurnDriver<E> {
         let delta = cache.stats().counters().since(before);
         let router = self.router.as_ref().expect("router mode");
         RouteWindow {
-            version: cache.version().0,
+            version: cache.snapshot().epoch(),
             cache_hit_rate: delta.hit_rate(),
             cache_stale: delta.stale_reads,
             leases_live: router.leases().len() as u64,

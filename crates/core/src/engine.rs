@@ -14,6 +14,7 @@ use crate::group_id::GroupId;
 use crate::ids::{CanonicalName, SnodeId, VnodeId};
 use crate::invariants::InvariantViolation;
 use crate::record::Pdr;
+use crate::serve::ChainWalk;
 use crate::sink::{CollectReport, RebalanceEvent, RebalanceSink};
 use crate::stats::BalanceSnapshot;
 use domus_hashspace::Partition;
@@ -339,6 +340,22 @@ pub trait DhtEngine {
             }
             cursor = p.end(space);
         }
+    }
+
+    /// The replica chain of `point`: the owner, then the first vnode of
+    /// each subsequent distinct snode along
+    /// [`DhtEngine::for_each_successor`], up to `r` entries — the chain
+    /// the replicated KV overlay places copies on, and the chain
+    /// [`EngineSnapshot::replicas`](crate::EngineSnapshot::replicas)
+    /// resolves at a published epoch. A vnode the walk visits
+    /// mid-teardown may briefly have no hosting snode; it is skipped.
+    fn replicas(&self, point: u64, r: usize) -> Vec<VnodeId> {
+        let mut chain = ChainWalk::new(r);
+        self.for_each_successor(point, &mut |v| match self.snode_of(v) {
+            Ok(s) => chain.visit(v, s),
+            Err(_) => true,
+        });
+        chain.finish()
     }
 
     /// The live vnodes hosted by `s`, in creation order.

@@ -104,7 +104,8 @@ pub use ledger::{SnodeLedger, SnodeShare};
 pub use local::{ideal_group_count, LocalDht};
 pub use record::{Pdr, PdrEntry};
 pub use serve::{
-    EngineSnapshot, OwnerSpan, RouteCounters, RouteStats, SnapshotBuilder, SnapshotCell, SnodeLoad,
+    read_routed, EngineSnapshot, OwnerSpan, RouteCounters, RouteStats, Routed, SnapshotBuilder,
+    SnapshotCell, SnodeLoad,
 };
 pub use sink::{
     CollectReport, CountOnly, LedgeredSink, NullSink, RebalanceEvent, RebalanceSink, Tee,

@@ -205,21 +205,42 @@ impl EngineSnapshot {
         }
     }
 
-    /// The replica chain of `point`: the owner, then the first vnode of
-    /// each subsequent distinct snode along the successor walk, up to `r`
-    /// entries — byte-for-byte the chain the replicated KV overlay places
-    /// copies on, resolved against this pinned epoch.
+    /// The replica chain of `point` resolved against this pinned epoch —
+    /// the same chain [`DhtEngine::replicas`] resolves on the live engine.
     pub fn replicas(&self, point: u64, r: usize) -> Vec<VnodeId> {
-        let mut out: Vec<VnodeId> = Vec::with_capacity(r);
-        let mut snodes: Vec<SnodeId> = Vec::with_capacity(r);
-        self.for_each_successor(point, &mut |v, s| {
-            if !snodes.contains(&s) {
-                snodes.push(s);
-                out.push(v);
-            }
-            out.len() < r
-        });
-        out
+        let mut chain = ChainWalk::new(r);
+        self.for_each_successor(point, &mut |v, s| chain.visit(v, s));
+        chain.finish()
+    }
+}
+
+/// The replica-placement rule: along a successor walk, keep the first
+/// vnode of each distinct snode until `r` are kept. The owner comes
+/// first; a thin cluster (fewer than `r` distinct snodes) yields a
+/// shorter chain, which callers treat as the effective replication
+/// factor.
+pub(crate) struct ChainWalk {
+    vnodes: Vec<VnodeId>,
+    snodes: Vec<SnodeId>,
+    r: usize,
+}
+
+impl ChainWalk {
+    pub(crate) fn new(r: usize) -> Self {
+        Self { vnodes: Vec::with_capacity(r), snodes: Vec::with_capacity(r), r }
+    }
+
+    /// Offers the walk's next visit; returns whether to keep walking.
+    pub(crate) fn visit(&mut self, v: VnodeId, s: SnodeId) -> bool {
+        if !self.snodes.contains(&s) {
+            self.snodes.push(s);
+            self.vnodes.push(v);
+        }
+        self.vnodes.len() < self.r
+    }
+
+    pub(crate) fn finish(self) -> Vec<VnodeId> {
+        self.vnodes
     }
 }
 
@@ -309,13 +330,12 @@ impl SnapshotCell {
 
 /// Shared routing-read statistics: reads, stale refreshes, misses.
 ///
-/// One struct serves every consumer of the serving plane — a
-/// `KvService` counts its `get_routed` retries here, a `ReplicatedStore`
-/// its quorum-read retries, and a route cache its stale re-pins — so a
-/// client that layers a cache over a service can hand the *same*
-/// `Arc<RouteStats>` to both and read one coherent tally. All counters
-/// are relaxed atomics; snapshot them with [`RouteStats::counters`] and
-/// diff windows with [`RouteCounters::since`].
+/// One struct serves every consumer of the serving plane — every
+/// [`read_routed`] call (a `KvService::get_routed`, a
+/// `ReplicatedStore::get_quorum_routed`) records its retries here, and a
+/// route cache its stale re-pins. All counters are relaxed atomics;
+/// snapshot them with [`RouteStats::counters`] and diff windows with
+/// [`RouteCounters::since`].
 #[derive(Debug, Default)]
 pub struct RouteStats {
     reads: AtomicU64,
@@ -351,6 +371,55 @@ impl RouteStats {
             stale_retries: self.stale_retries.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// A routed read's outcome: the value found at the epoch the read
+/// settled on, plus the stale-route retries it took to settle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Routed<T> {
+    /// The value, `None` when the key is absent at the settled epoch.
+    pub value: Option<T>,
+    /// Stale-route retries counted (0 = the pinned epoch was current, the
+    /// first probe hit, or no re-pin moved the key's replica chain).
+    pub retries: u32,
+}
+
+/// A snapshot-routed read with stale-route repair — the one retry policy
+/// behind every routed read of the serving plane.
+///
+/// `probe` reads the key at a pinned epoch; `None` means "absent" *or*
+/// "stale route". While the probe misses and `cell` has published past
+/// the pin, the read re-pins and probes again. A re-pin counts as a
+/// retry only when the replica chain of `point` (`r` entries) differs
+/// between the two epochs: a miss whose chain is identical at both is an
+/// absent key caught mid-publish, not stale routing. `snap` is left on
+/// the epoch the read settled on, so a read loop amortises one pin across
+/// many keys, and the read is recorded into `stats`.
+///
+/// Publishes are coupled to the writer's lock, so a miss at the current
+/// epoch is a genuine absence and the loop ends after at most one probe
+/// per epoch published since the pin.
+pub fn read_routed<T>(
+    cell: &SnapshotCell,
+    snap: &mut Arc<EngineSnapshot>,
+    point: u64,
+    r: usize,
+    stats: &RouteStats,
+    mut probe: impl FnMut(&EngineSnapshot) -> Option<T>,
+) -> Routed<T> {
+    let mut retries = 0u32;
+    loop {
+        let value = probe(snap);
+        if value.is_some() || !cell.is_stale(snap) {
+            stats.record(retries, value.is_none());
+            return Routed { value, retries };
+        }
+        let fresh = cell.load();
+        if fresh.replicas(point, r) != snap.replicas(point, r) {
+            retries += 1;
+        }
+        *snap = fresh;
     }
 }
 
@@ -701,18 +770,7 @@ mod tests {
         }
         let snap = b.snapshot();
         for point in probe_points(HashSpace::new(32)) {
-            // Replica chains (dedup by snode) must agree walk-for-walk.
-            let mut want: Vec<VnodeId> = Vec::new();
-            let mut seen: Vec<SnodeId> = Vec::new();
-            dht.for_each_successor(point, &mut |v| {
-                let s = dht.snode_of(v).unwrap();
-                if !seen.contains(&s) {
-                    seen.push(s);
-                    want.push(v);
-                }
-                want.len() < 3
-            });
-            assert_eq!(snap.replicas(point, 3), want, "replica chain at {point}");
+            assert_eq!(snap.replicas(point, 3), dht.replicas(point, 3), "replica chain at {point}");
         }
     }
 

@@ -57,8 +57,8 @@
 use crate::store::{bucket_search, slot_of, Bucket};
 use bytes::Bytes;
 use domus_core::{
-    CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceEvent, RebalanceSink,
-    RemoveOutcome, RouteStats, SnapshotCell, SnodeId, VnodeId,
+    read_routed, CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceEvent,
+    RebalanceSink, RemoveOutcome, RouteStats, SnapshotCell, SnodeId, VnodeId,
 };
 use domus_hashspace::hasher::Fnv1aHasher;
 use domus_hashspace::{HashSpace, KeyHasher, Partition};
@@ -184,28 +184,6 @@ pub struct RoutedQuorum {
     pub retries: u32,
 }
 
-/// The replica chain of `point`: the owner, then the first vnode of each
-/// subsequent distinct snode along the successor walk, up to `r` entries.
-fn replicas_for<E: DhtEngine>(engine: &E, r: usize, point: u64) -> Vec<VnodeId> {
-    let mut out: Vec<VnodeId> = Vec::with_capacity(r);
-    let mut snodes: Vec<SnodeId> = Vec::with_capacity(r);
-    engine.for_each_successor(point, &mut |v| {
-        // A vnode the walk visits mid-teardown may briefly have no
-        // hosting snode; skip it rather than panic — on a thin cluster
-        // (fewer than R distinct snodes) the walk simply ends with a
-        // shorter chain, which every caller treats as the effective
-        // replication factor.
-        if let Ok(s) = engine.snode_of(v) {
-            if !snodes.contains(&s) {
-                snodes.push(s);
-                out.push(v);
-            }
-        }
-        out.len() < r
-    });
-    out
-}
-
 /// An in-memory KV store placing every entry on `R` distinct snodes.
 ///
 /// ```
@@ -303,8 +281,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
 
     /// The store's routed-read statistics: every
     /// [`ReplicatedStore::get_quorum_routed`] records its retry count
-    /// here. Clones share the block; a `domus-route` cache can share the
-    /// same `Arc` to tally cache and store reads in one place.
+    /// here. Clones share the block.
     pub fn read_stats(&self) -> &Arc<RouteStats> {
         &self.stats
     }
@@ -354,7 +331,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
 
     /// The replica chain of a key's point (primary first).
     pub fn replicas_of(&self, key: &[u8]) -> Vec<VnodeId> {
-        replicas_for(&self.engine, self.r, self.point_of(key))
+        self.engine.replicas(self.point_of(key), self.r)
     }
 
     /// The primary vnode responsible for a key.
@@ -374,7 +351,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         let key = key.into();
         let value = value.into();
         let point = self.point_of(&key);
-        let replicas = replicas_for(&self.engine, self.r, point);
+        let replicas = self.engine.replicas(point, self.r);
         assert!(!replicas.is_empty(), "put on an empty DHT");
         let record = WalRecord::Put { key: key.clone(), value: value.clone() };
         let new_hash = entry_hash(&key, &value);
@@ -410,7 +387,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// returns the first copy found.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         let point = self.point_of(key);
-        for v in replicas_for(&self.engine, self.r, point) {
+        for v in self.engine.replicas(point, self.r) {
             if let Some(bucket) = self.data.get(v.index()).and_then(|m| m.get(&point)) {
                 if let Ok(i) = bucket_search(bucket, key) {
                     return Some(bucket[i].1.clone());
@@ -424,7 +401,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// a copy, judged against the majority quorum.
     pub fn get_quorum(&self, key: &[u8]) -> QuorumRead {
         let point = self.point_of(key);
-        self.quorum_over(key, point, replicas_for(&self.engine, self.r, point))
+        self.quorum_over(key, point, self.engine.replicas(point, self.r))
     }
 
     /// The primary vnode of a key per a pinned routing snapshot
@@ -456,11 +433,11 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         self.quorum_over(key, point, snap.replicas(point, self.r))
     }
 
-    /// Quorum read with stale-route repair: probes the replica chain at
-    /// the pinned epoch and, on a total miss, re-pins from `cell` and
-    /// retries once per epoch the cell advanced past the pin — the
-    /// replicated twin of `KvService::get_routed`. `snap` is left pinned
-    /// to the epoch the read settled on, and the retry count lands in
+    /// Quorum read with stale-route repair through
+    /// [`domus_core::read_routed`]: probes the replica chain at the pinned
+    /// epoch and, on a total miss, re-pins from `cell` while it has
+    /// published past the pin. `snap` is left pinned to the epoch the
+    /// read settled on, and the retry count lands in
     /// [`ReplicatedStore::read_stats`].
     pub fn get_quorum_routed(
         &self,
@@ -468,27 +445,15 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         snap: &mut Arc<EngineSnapshot>,
         key: &[u8],
     ) -> RoutedQuorum {
-        let mut retries = 0u32;
-        loop {
-            let read = self.get_quorum_at(snap, key);
-            if read.value.is_some() || !cell.is_stale(snap) {
-                self.stats.record(retries, read.value.is_none());
-                return RoutedQuorum { read, retries };
-            }
-            // The pin is behind, but a retry is only a *stale-route*
-            // retry when the key's replica chain actually moved between
-            // the pinned and current epochs — a miss on a key whose
-            // route is identical at both epochs is an absent key caught
-            // mid-publish, not stale routing, and counting it would
-            // double-book every concurrent-epoch miss as stale.
-            let fresh = cell.load();
-            let point = self.hasher.point(key, snap.space());
-            let moved = fresh.replicas(point, self.r) != snap.replicas(point, self.r);
-            *snap = fresh;
-            if moved {
-                retries += 1;
-            }
-        }
+        let point = self.hasher.point(key, snap.space());
+        let routed = read_routed(cell, snap, point, self.r, &self.stats, |s| {
+            let read = self.quorum_over(key, point, s.replicas(point, self.r));
+            read.value.is_some().then_some(read)
+        });
+        // A miss found no copy anywhere on the chain.
+        let read =
+            routed.value.unwrap_or(QuorumRead { value: None, hits: 0, needed: self.quorum() });
+        RoutedQuorum { read, retries: routed.retries }
     }
 
     /// Counts live copies of `key` over a replica chain.
@@ -514,7 +479,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// crash-then-rejoin never resurrects a deleted key.
     pub fn remove(&mut self, key: &[u8]) -> Option<Bytes> {
         let point = self.point_of(key);
-        let replicas = replicas_for(&self.engine, self.r, point);
+        let replicas = self.engine.replicas(point, self.r);
         let record = WalRecord::Remove { key: Bytes::copy_from_slice(key) };
         let mut removed = None;
         for &v in &replicas {
@@ -762,7 +727,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// buckets the primary does not hold). Accounts shipped bytes and
     /// the full-rebuild baseline into `report`.
     fn repair_partition(&mut self, start: u64, end: u128, report: &mut RepairReport) {
-        let chain = replicas_for(&self.engine, self.r, start);
+        let chain = self.engine.replicas(start, self.r);
         if chain.is_empty() {
             return;
         }
@@ -1022,20 +987,19 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         // range* without ever finding them (the pathological walk), and a
         // shorter walk can miss ranges holding follower copies placed
         // under an earlier, wider membership. Cover the whole space in one
-        // range instead — the honest repair scope at this size, and O(1)
-        // to decide.
-        let live = {
-            let mut live: Vec<SnodeId> = Vec::new();
-            self.engine.for_each_vnode(&mut |v| {
+        // range instead — the honest repair scope at this size. Only the
+        // comparison with R matters, so counting stops at R snodes.
+        let mut live: Vec<SnodeId> = Vec::with_capacity(self.r);
+        self.engine.for_each_vnode(&mut |v| {
+            if live.len() < self.r {
                 if let Ok(s) = self.engine.snode_of(v) {
                     if !live.contains(&s) {
                         live.push(s);
                     }
                 }
-            });
-            live.len()
-        };
-        if live < self.r {
+            }
+        });
+        if live.len() < self.r {
             return vec![(0, space.size())];
         }
         let want = self.r;
@@ -1134,7 +1098,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                 let stale = !matches!(&memo, Some((p, _, _)) if p.contains(point, space));
                 if stale {
                     let (p, _) = engine.lookup(point).expect("routing is total");
-                    let replicas = replicas_for(engine, r, point);
+                    let replicas = engine.replicas(point, r);
                     // Durable placement note on every holder's log: this
                     // partition's copies now live on this chain.
                     let homes: Vec<Option<SnodeId>> =
@@ -1223,7 +1187,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                     if self.point_of(key) != point {
                         return Err(format!("key stored under wrong point {point}"));
                     }
-                    let replicas = replicas_for(&self.engine, self.r, point);
+                    let replicas = self.engine.replicas(point, self.r);
                     let pos = replicas.iter().position(|v| v.index() == slot).ok_or_else(|| {
                         format!("copy at point {point} on slot {slot}, not a replica")
                     })?;

@@ -22,9 +22,9 @@
 use crate::store::{KvStore, MigrationReport};
 use bytes::Bytes;
 use domus_core::{
-    CollectReport, CreateOutcome, CreateReport, DhtEngine, DhtError, EngineSnapshot, NullSink,
-    RebalanceSink, RemoveOutcome, RemoveReport, RouteStats, SnapshotBuilder, SnapshotCell, SnodeId,
-    Tee, VnodeId,
+    read_routed, CollectReport, CreateOutcome, CreateReport, DhtEngine, DhtError, EngineSnapshot,
+    NullSink, RebalanceSink, RemoveOutcome, RemoveReport, RouteStats, Routed, SnapshotBuilder,
+    SnapshotCell, SnodeId, Tee, VnodeId,
 };
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -38,14 +38,7 @@ struct Served<E: DhtEngine> {
 
 /// A snapshot-routed read: the value (if the key exists at the epoch the
 /// read settled on) plus how many stale-route retries it took to settle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedGet {
-    /// The value, `None` when the key is absent at the settled epoch.
-    pub value: Option<Bytes>,
-    /// Stale-route retries performed (0 = the pinned epoch was current
-    /// or the first probe hit).
-    pub retries: u32,
-}
+pub type RoutedGet = Routed<Bytes>;
 
 /// A shareable, thread-safe KV service.
 pub struct KvService<E: DhtEngine> {
@@ -80,9 +73,7 @@ impl<E: DhtEngine> KvService<E> {
     /// The service's routed-read statistics: every
     /// [`KvService::get_routed`] records its retry count here, so
     /// stale-route rates are observable without threading a counter
-    /// through every call site. Share the same `Arc` with a
-    /// `domus-route` cache to tally cache and service reads in one
-    /// place.
+    /// through every call site.
     pub fn read_stats(&self) -> &Arc<RouteStats> {
         &self.stats
     }
@@ -114,37 +105,19 @@ impl<E: DhtEngine> KvService<E> {
         self.inner.read().store.get_at(snap, key)
     }
 
-    /// Snapshot-routed read with stale-route detection: probes at the
-    /// pinned epoch and, on a miss, re-pins and retries once per epoch
-    /// the cell advanced past the pin (under steady churn that is a
-    /// single retry on the next epoch — the property the
-    /// `snapshot_consistency` suite asserts). `snap` is left pinned to
-    /// the epoch the read settled on, so a read loop amortises one pin
-    /// across many keys.
+    /// Snapshot-routed read with stale-route detection through
+    /// [`read_routed`]: probes at the pinned epoch and, on a miss,
+    /// re-pins and retries while the cell has published past the pin
+    /// (under steady churn that is a single retry on the next epoch — the
+    /// property the `snapshot_consistency` suite asserts). The store keeps
+    /// one copy per key, so a retry counts when the key's owner moved.
+    /// `snap` is left pinned to the epoch the read settled on, so a read
+    /// loop amortises one pin across many keys.
     pub fn get_routed(&self, snap: &mut Arc<EngineSnapshot>, key: &[u8]) -> RoutedGet {
-        let mut retries = 0u32;
-        loop {
-            let value = self.inner.read().store.get_at(snap, key);
-            if value.is_some() || !self.serve.is_stale(snap) {
-                self.stats.record(retries, value.is_none());
-                return RoutedGet { value, retries };
-            }
-            // The pin is behind, but the retry is only a *stale-route*
-            // retry when the key's owner actually moved between the pinned
-            // and current epochs. A miss whose route is identical at both
-            // epochs is an absent key caught mid-publish, not stale
-            // routing — counting it would double-book every
-            // concurrent-epoch miss as stale.
-            let fresh = self.serve.load();
-            let moved = {
-                let guard = self.inner.read();
-                guard.store.route_at(snap, key) != guard.store.route_at(&fresh, key)
-            };
-            *snap = fresh;
-            if moved {
-                retries += 1;
-            }
-        }
+        let point = KvStore::<E>::point_in(snap.space(), key);
+        read_routed(&self.serve, snap, point, 1, &self.stats, |s| {
+            self.inner.read().store.get_at(s, key)
+        })
     }
 
     /// Exclusive write.

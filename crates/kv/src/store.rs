@@ -195,6 +195,11 @@ impl<E: DhtEngine> KvStore<E> {
         Some(bucket[i].1.clone())
     }
 
+    /// The hash point of a key in `space`, under the store's key hasher.
+    pub(crate) fn point_in(space: HashSpace, key: &[u8]) -> u64 {
+        Fnv1aHasher.point(key, space)
+    }
+
     /// The vnode responsible for a key per a pinned routing snapshot
     /// (serving-plane route — never consults the live engine).
     pub fn route_at(&self, snap: &EngineSnapshot, key: &[u8]) -> Option<VnodeId> {

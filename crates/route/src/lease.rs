@@ -13,7 +13,7 @@
 
 use domus_core::{SnodeId, VnodeId};
 use domus_sim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One snode's claim on one vnode, valid until `expires_at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +105,19 @@ impl LeaseTable {
     pub fn renew_holder(&mut self, s: SnodeId, now: SimTime) -> usize {
         let mut renewed = 0;
         for lease in self.leases.values_mut().filter(|l| l.holder == s) {
+            lease.expires_at = now + self.ttl;
+            lease.renewals += 1;
+            renewed += 1;
+        }
+        renewed
+    }
+
+    /// Renews, in one pass, every lease whose holder is not in `silent`
+    /// to one TTL past `now`, returning how many — the per-tick renewal
+    /// of every healthy holder at once.
+    pub fn renew_except(&mut self, silent: &BTreeSet<SnodeId>, now: SimTime) -> usize {
+        let mut renewed = 0;
+        for lease in self.leases.values_mut().filter(|l| !silent.contains(&l.holder)) {
             lease.expires_at = now + self.ttl;
             lease.renewals += 1;
             renewed += 1;

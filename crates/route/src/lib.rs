@@ -10,15 +10,15 @@
 //!
 //! | Module | Type | Role |
 //! |--------|------|------|
-//! | [`table`] | [`RouteTable`] / [`RouteCache`] | versioned shard maps; client caches with ≤1-round stale repair |
+//! | [`table`] | [`RouteCache`] | client-side pin of a published epoch with ≤1-round stale repair |
 //! | [`lease`] | [`Lease`] / [`LeaseTable`] | expiring per-vnode ownership on a deterministic sim clock |
 //! | [`router`] | [`Router`] | the per-window tick: renewal, failover, hot-spot scheduling |
 //!
 //! ## The model in one paragraph
 //!
-//! Every published `EngineSnapshot` epoch *is* a route version
-//! ([`RouteVersion`]); clients pin a version in a [`RouteCache`] and
-//! repair staleness in at most one refresh per epoch. Every live vnode
+//! Every published `EngineSnapshot` epoch *is* a route version; clients
+//! pin one in a [`RouteCache`] and repair staleness in at most one
+//! refresh per epoch. Every live vnode
 //! is covered by exactly one [`Lease`] naming its snode; healthy snodes
 //! renew each [`Router::tick`], silent ones stop, and a lapsed lease
 //! becomes a [`RouteAction::Failover`] that the executor drives through
@@ -34,7 +34,7 @@
 //! ```
 //! use domus_core::{DhtConfig, DhtEngine, LocalDht, SnapshotBuilder, SnapshotCell, SnodeId};
 //! use domus_hashspace::HashSpace;
-//! use domus_route::{RouteCache, RouteTable, Router, RouterConfig};
+//! use domus_route::{RouteCache, Router, RouterConfig};
 //! use domus_sim::SimTime;
 //! use std::sync::Arc;
 //!
@@ -49,14 +49,14 @@
 //! }
 //! let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
 //!
-//! // Clients route through a versioned table / cache…
-//! let table = RouteTable::pin(&cell);
-//! assert_eq!(table.snode_count(), 4);
+//! // Clients route through a pinned snapshot / cache…
+//! let snap = cell.load();
+//! assert_eq!(snap.snode_count(), 4);
 //! let mut cache = RouteCache::new(Arc::clone(&cell));
-//! assert_eq!(cache.lookup(42), table.lookup(42));
+//! assert_eq!(cache.lookup(42), snap.lookup(42));
 //!
 //! // …while the control plane ticks the lease clock per window.
-//! let report = router.tick(SimTime::millis(30_000), table.loads());
+//! let report = router.tick(SimTime::millis(30_000), snap.loads());
 //! assert!(report.actions.is_empty(), "healthy fleet: nothing to do");
 //! assert_eq!(report.renewed, 4);
 //! ```
@@ -74,4 +74,4 @@ pub mod table;
 
 pub use lease::{Lease, LeaseTable};
 pub use router::{RouteAction, Router, RouterConfig, RouterTotals, TickReport};
-pub use table::{RouteCache, RouteTable, RouteVersion};
+pub use table::RouteCache;

@@ -303,17 +303,12 @@ impl Router {
         self.totals.ticks += 1;
         let mut report = TickReport::default();
 
-        // 1. Renewal: every holder that is not stalled re-ups. Checked
-        //    conversions throughout: a silent `as u64` truncation here
-        //    would corrupt every per-window reconciliation downstream.
-        let holders: BTreeSet<SnodeId> = self.leases.iter().map(|(_, l)| l.holder).collect();
-        for &s in holders.iter().filter(|s| !self.stalled.contains(s)) {
-            let renewed = self.leases.renew_holder(s, now);
-            report.renewed = report
-                .renewed
-                .checked_add(u64::try_from(renewed).expect("lease count fits u64"))
-                .expect("renewal total overflow");
-        }
+        // 1. Renewal: every holder that is not stalled re-ups, in one
+        //    pass over the table. Checked conversion: a silent `as u64`
+        //    truncation here would corrupt every per-window
+        //    reconciliation downstream.
+        let renewed = self.leases.renew_except(&self.stalled, now);
+        report.renewed = u64::try_from(renewed).expect("lease count fits u64");
         self.totals.leases_renewed += report.renewed;
 
         // 2. Expiry → failover. Leases stay in the table until the
@@ -426,6 +421,24 @@ mod tests {
         }
         assert_eq!(r.totals().failovers, 0);
         assert_eq!(r.worst_convergence(), 0);
+    }
+
+    #[test]
+    fn renewal_skips_every_lease_of_a_stalled_holder() {
+        let mut r = Router::new(cfg());
+        join_fleet(&mut r, 4, ms(0));
+        // Snode 1 holds three more leases, then stalls.
+        for v in 10..13u32 {
+            r.note_join(VnodeId(v), SnodeId(1), ms(0));
+        }
+        r.inject_stall(SnodeId(1));
+        let rep = r.tick(ms(60), &flat_loads(4));
+        assert_eq!(rep.renewed, 3, "only the three healthy holders' leases renew");
+        for (_, l) in r.leases().iter() {
+            let want = if l.holder == SnodeId(1) { ms(100) } else { ms(160) };
+            assert_eq!(l.expires_at, want, "lease of {:?}", l.holder);
+        }
+        assert_eq!(r.leases().iter().filter(|(_, l)| l.expires_at == ms(100)).count(), 4);
     }
 
     #[test]

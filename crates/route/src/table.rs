@@ -1,163 +1,40 @@
-//! Versioned shard maps: [`RouteTable`] and the client-side
-//! [`RouteCache`].
+//! The client-side route table: [`RouteCache`], a pinned routing
+//! snapshot with ≤1-round stale repair.
 //!
-//! A `RouteTable` is the control plane's *unit of distribution*: one
-//! immutable, versioned view of "which vnode (and so which snode) serves
-//! each hash-space span". It wraps an [`EngineSnapshot`] pinned from the
-//! serving plane — the version **is** the snapshot epoch, so versions are
-//! monotone across publishes and comparable across clients.
-//!
-//! A `RouteCache` is what a client actually holds: the last table it
-//! pinned, the cell it pins from, and a dirty flag fed by streamed
-//! [`RebalanceEvent`]s. Every resolution repairs staleness in **at most
-//! one round**: if the cell's epoch moved past the pinned version (or an
-//! event invalidated the pin), the cache re-pins once and resolves on
-//! the fresh table — the generalization of the per-read retry in
-//! `KvService::get_routed` to any routing consumer.
+//! A route version *is* a serving-plane epoch: clients route through the
+//! [`EngineSnapshot`] they pinned from a [`SnapshotCell`], and a newer
+//! publish is detected by one atomic epoch load. Every resolution
+//! repairs staleness in **at most one round**: if the cell's epoch moved
+//! past the pin, the cache re-pins once and resolves on the fresh
+//! snapshot. Keyed KV reads repair through `domus_core::read_routed`
+//! instead, which re-pins only while the key itself misses.
 
-use bytes::Bytes;
-use domus_core::{
-    DhtEngine, EngineSnapshot, RebalanceEvent, RebalanceSink, RouteStats, SnapshotCell, SnodeId,
-    SnodeLoad, VnodeId,
-};
-use domus_hashspace::HashSpace;
-use domus_kv::KvService;
+use domus_core::{EngineSnapshot, RouteStats, SnapshotCell, SnodeId, VnodeId};
 use std::sync::Arc;
-
-/// A monotone shard-map version — the serving-plane epoch of the
-/// snapshot the table was derived from. Orders naturally: a larger
-/// version supersedes a smaller one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct RouteVersion(pub u64);
-
-impl std::fmt::Display for RouteVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "v{}", self.0)
-    }
-}
-
-/// One immutable, versioned shard map.
-///
-/// A strict layer over [`EngineSnapshot`]: every resolution delegates to
-/// the snapshot, so routing through a table at version `v` is *bitwise*
-/// the routing of epoch-`v` snapshot — the `snapshot_consistency` suite
-/// asserts exactly that. Cloning shares the underlying snapshot.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    snap: Arc<EngineSnapshot>,
-}
-
-impl RouteTable {
-    /// Wraps an already-pinned snapshot.
-    pub fn new(snap: Arc<EngineSnapshot>) -> Self {
-        Self { snap }
-    }
-
-    /// Pins the current table from a serving-plane cell.
-    pub fn pin(cell: &SnapshotCell) -> Self {
-        Self { snap: cell.load() }
-    }
-
-    /// The table's version (the snapshot epoch).
-    pub fn version(&self) -> RouteVersion {
-        RouteVersion(self.snap.epoch())
-    }
-
-    /// `true` when `cell` has published a newer version.
-    pub fn is_stale(&self, cell: &SnapshotCell) -> bool {
-        cell.is_stale(&self.snap)
-    }
-
-    /// The wrapped snapshot (for APIs that want the raw view).
-    pub fn snapshot(&self) -> &Arc<EngineSnapshot> {
-        &self.snap
-    }
-
-    /// The hash space the table tiles.
-    pub fn space(&self) -> HashSpace {
-        self.snap.space()
-    }
-
-    /// `true` when no vnode exists at this version.
-    pub fn is_empty(&self) -> bool {
-        self.snap.is_empty()
-    }
-
-    /// Vnodes at this version.
-    pub fn vnode_count(&self) -> usize {
-        self.snap.vnode_count()
-    }
-
-    /// Distinct snodes at this version.
-    pub fn snode_count(&self) -> usize {
-        self.snap.snode_count()
-    }
-
-    /// Routes a hash point to its serving `(vnode, snode)`.
-    pub fn lookup(&self, point: u64) -> Option<(VnodeId, SnodeId)> {
-        self.snap.lookup(point)
-    }
-
-    /// The vnode owning a hash point.
-    pub fn owner_of(&self, point: u64) -> Option<VnodeId> {
-        self.snap.owner_of(point)
-    }
-
-    /// The replica chain of a point: the owner, then the first vnode of
-    /// each subsequent distinct snode, up to `r` entries.
-    pub fn replicas(&self, point: u64, r: usize) -> Vec<VnodeId> {
-        self.snap.replicas(point, r)
-    }
-
-    /// Per-snode load at this version (vnodes hosted, quota share).
-    pub fn loads(&self) -> &[SnodeLoad] {
-        self.snap.loads()
-    }
-
-    /// The quota share of one snode, `None` when it hosts nothing.
-    pub fn quota_of(&self, snode: SnodeId) -> Option<f64> {
-        self.snap.quota_of(snode)
-    }
-}
 
 /// A client-side route cache with ≤1-round stale-route repair.
 ///
-/// Holds the last [`RouteTable`] pinned from a [`SnapshotCell`] plus a
-/// dirty flag. [`RouteCache::lookup`] resolves against the pinned table
-/// after at most one refresh: the pin is replaced exactly when the cell
-/// published a newer version or a streamed event marked the cache dirty
-/// (feed the cache as a [`RebalanceSink`], or call
-/// [`RouteCache::invalidate`]). Every resolution lands in a shared
-/// [`RouteStats`] block — pass the service's own block to
-/// [`RouteCache::with_stats`] to tally cache and service reads together.
+/// Holds the last snapshot pinned from a [`SnapshotCell`].
+/// [`RouteCache::lookup`] resolves against the pin after at most one
+/// refresh: the pin is replaced exactly when the cell published a newer
+/// epoch. Every resolution lands in the cache's [`RouteStats`] block.
 #[derive(Debug)]
 pub struct RouteCache {
     cell: Arc<SnapshotCell>,
     pinned: Arc<EngineSnapshot>,
-    dirty: bool,
     stats: Arc<RouteStats>,
 }
 
 impl RouteCache {
-    /// A cache pinned to `cell`'s current version, with its own stats.
+    /// A cache pinned to `cell`'s current epoch.
     pub fn new(cell: Arc<SnapshotCell>) -> Self {
-        Self::with_stats(cell, Arc::new(RouteStats::new()))
-    }
-
-    /// A cache recording into a caller-shared stat block.
-    pub fn with_stats(cell: Arc<SnapshotCell>, stats: Arc<RouteStats>) -> Self {
         let pinned = cell.load();
-        Self { cell, pinned, dirty: false, stats }
+        Self { cell, pinned, stats: Arc::new(RouteStats::new()) }
     }
 
-    /// The version currently pinned.
-    pub fn version(&self) -> RouteVersion {
-        RouteVersion(self.pinned.epoch())
-    }
-
-    /// The pinned view as a [`RouteTable`] (shares the snapshot).
-    pub fn table(&self) -> RouteTable {
-        RouteTable::new(Arc::clone(&self.pinned))
+    /// The snapshot currently pinned; its `epoch()` is the route version.
+    pub fn snapshot(&self) -> &Arc<EngineSnapshot> {
+        &self.pinned
     }
 
     /// The stat block resolutions are tallied into.
@@ -165,20 +42,12 @@ impl RouteCache {
         &self.stats
     }
 
-    /// Marks the pin suspect: the next resolution re-pins even if the
-    /// epoch check alone would not force it. Streamed rebalance events
-    /// call this through the [`RebalanceSink`] impl.
-    pub fn invalidate(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Re-pins if (and only if) the pin is dirty or the cell moved on.
+    /// Re-pins if (and only if) the cell published past the pin.
     /// Returns `true` when a refresh happened — the "stale" half of the
     /// hit/stale ratio.
     pub fn refresh(&mut self) -> bool {
-        if self.dirty || self.cell.is_stale(&self.pinned) {
+        if self.cell.is_stale(&self.pinned) {
             self.pinned = self.cell.load();
-            self.dirty = false;
             true
         } else {
             false
@@ -186,7 +55,7 @@ impl RouteCache {
     }
 
     /// Routes a hash point through the cache: at most one refresh, then
-    /// a lookup on the pinned table. Records one read (stale iff a
+    /// a lookup on the pinned snapshot. Records one read (stale iff a
     /// refresh happened) into the stat block.
     pub fn lookup(&mut self, point: u64) -> Option<(VnodeId, SnodeId)> {
         let refreshed = self.refresh();
@@ -194,86 +63,61 @@ impl RouteCache {
         self.stats.record(u32::from(refreshed), hit.is_none());
         hit
     }
-
-    /// A cache-routed KV read: delegates to [`KvService::get_routed`]
-    /// with the cache's pin (the service records the read into *its*
-    /// stat block — share one block via [`RouteCache::with_stats`] for a
-    /// combined tally). The pin is left on the epoch the read settled
-    /// on, so a read loop amortises one refresh across many keys.
-    pub fn get<E: DhtEngine>(&mut self, svc: &KvService<E>, key: &[u8]) -> Option<Bytes> {
-        self.dirty = false; // get_routed repairs staleness itself
-        svc.get_routed(&mut self.pinned, key).value
-    }
-}
-
-impl RebalanceSink for RouteCache {
-    fn event(&mut self, _e: RebalanceEvent) {
-        self.invalidate();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domus_core::{DhtConfig, LocalDht, SnapshotBuilder};
-    use domus_kv::KvStore;
+    use domus_core::{DhtConfig, DhtEngine, LocalDht, SnapshotBuilder};
+    use domus_hashspace::HashSpace;
 
-    fn space() -> HashSpace {
-        HashSpace::new(32)
-    }
-
-    fn grown(snodes: u32) -> (LocalDht, SnapshotBuilder, SnapshotCell) {
-        let cfg = DhtConfig::new(space(), 4, 2).unwrap();
+    fn grown(snodes: u32) -> (LocalDht, SnapshotBuilder, Arc<SnapshotCell>) {
+        let cfg = DhtConfig::new(HashSpace::new(32), 4, 2).unwrap();
         let mut dht = LocalDht::with_seed(cfg, 2004);
         for s in 0..snodes {
             dht.create_vnode(SnodeId(s)).unwrap();
         }
         let builder = SnapshotBuilder::from_engine(&dht);
-        let cell = SnapshotCell::new(builder.snapshot());
+        let cell = Arc::new(SnapshotCell::new(builder.snapshot()));
         (dht, builder, cell)
     }
 
     #[test]
     fn table_is_a_strict_layer_over_the_snapshot() {
         let (dht, _, cell) = grown(6);
-        let table = RouteTable::pin(&cell);
-        assert_eq!(table.version(), RouteVersion(0));
-        assert_eq!(table.vnode_count(), 6);
-        assert_eq!(table.snode_count(), 6);
-        assert!(!table.is_empty());
-        let snap = table.snapshot();
+        let mut cache = RouteCache::new(Arc::clone(&cell));
+        let snap = cell.load();
+        assert_eq!(cache.snapshot().epoch(), 0);
         for i in 0..512u64 {
-            let point = table.space().fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            assert_eq!(table.lookup(point), snap.lookup(point), "table must delegate");
-            assert_eq!(table.owner_of(point), snap.owner_of(point));
-            assert_eq!(table.replicas(point, 2), snap.replicas(point, 2));
+            let point = snap.space().fold(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            assert_eq!(cache.lookup(point), snap.lookup(point), "the cache must delegate");
             // And the snapshot agrees with the live engine at this epoch.
             let (_, owner) = dht.lookup(point).unwrap();
-            assert_eq!(table.owner_of(point), Some(owner));
+            assert_eq!(snap.owner_of(point), Some(owner));
         }
-        assert_eq!(table.loads(), snap.loads());
-        let q: f64 = table.loads().iter().map(|l| l.quota).sum();
-        assert!((q - 1.0).abs() < 1e-9);
+        assert_eq!(cache.stats().counters().stale_reads, 0);
     }
 
     #[test]
     fn versions_are_monotone_across_publishes() {
         let (mut dht, mut builder, cell) = grown(4);
-        let mut last = RouteTable::pin(&cell).version();
+        let mut cache = RouteCache::new(Arc::clone(&cell));
+        let mut last = cache.snapshot().epoch();
         for s in 4..10u32 {
             let out = dht.create_vnode_with(SnodeId(s), &mut builder).unwrap();
             builder.note_create(out.vnode, SnodeId(s));
             builder.publish(&cell);
-            let v = RouteTable::pin(&cell).version();
+            assert!(cache.refresh(), "a publish must stale the pin");
+            let v = cache.snapshot().epoch();
             assert!(v > last, "versions must be monotone: {v} after {last}");
             last = v;
         }
+        assert!(!cache.refresh(), "a current pin does not refresh");
     }
 
     #[test]
     fn cache_repairs_staleness_in_one_round() {
         let (mut dht, mut builder, cell) = grown(4);
-        let cell = Arc::new(cell);
         let mut cache = RouteCache::new(Arc::clone(&cell));
         let grid: Vec<u64> = (0..64u64).map(|i| i << 26).collect();
         for &p in &grid {
@@ -294,42 +138,6 @@ mod tests {
         let delta = cache.stats().counters().since(before);
         assert_eq!(delta.reads, 64);
         assert_eq!(delta.stale_reads, 1, "≤1-round repair: one refresh per epoch, not per read");
-        assert_eq!(cache.version(), RouteVersion(cell.epoch()));
-    }
-
-    #[test]
-    fn streamed_events_invalidate_the_cache() {
-        let (mut dht, mut builder, cell) = grown(4);
-        let cell = Arc::new(cell);
-        let mut cache = RouteCache::new(Arc::clone(&cell));
-        cache.lookup(0);
-        // Stream the events of a membership change straight into the
-        // cache (as a sink): the pin goes dirty even before a publish.
-        let out = dht.create_vnode_with(SnodeId(5), &mut cache).unwrap();
-        builder.note_create(out.vnode, SnodeId(5));
-        let before = cache.stats().counters();
-        builder.publish(&cell);
-        cache.lookup(0);
-        assert_eq!(cache.stats().counters().since(before).stale_reads, 1);
-    }
-
-    #[test]
-    fn cache_routed_kv_reads_share_the_service_stat_block() {
-        let cfg = DhtConfig::new(space(), 4, 2).unwrap();
-        let mut store = KvStore::new(LocalDht::with_seed(cfg, 5));
-        store.join(SnodeId(0)).unwrap();
-        let svc = KvService::new(store);
-        for i in 0..200u32 {
-            svc.put(format!("k{i}"), format!("v{i}"));
-        }
-        let mut cache =
-            RouteCache::with_stats(Arc::clone(svc.serve()), Arc::clone(svc.read_stats()));
-        svc.join(SnodeId(1)).unwrap(); // stale the pin
-        for i in 0..200u32 {
-            assert!(cache.get(&svc, format!("k{i}").as_bytes()).is_some());
-        }
-        let c = svc.read_stats().counters();
-        assert_eq!(c.reads, 200, "service and cache tally into one block");
-        assert_eq!(c.misses, 0);
+        assert_eq!(cache.snapshot().epoch(), cell.epoch());
     }
 }

@@ -6,13 +6,12 @@
 //! [`KvService`]: a churn thread joins and retires vnodes (each
 //! maintenance op migrates real data and publishes the next routing
 //! epoch while it still holds the write lock), while N reader threads
-//! each hold a [`RouteCache`] — the control plane's client-side pin of a
-//! versioned [`RouteTable`] — and resolve every key through it,
-//! re-pinning exactly when the published version moved under them. All
-//! caches tally into the service's shared [`RouteStats`] block. The
-//! invariant on display: **no read ever fails**, no matter how the
-//! routes move, and a stale pin converges in at most one retry per
-//! published version.
+//! each pin a routing snapshot and resolve every key through
+//! [`KvService::get_routed`], re-pinning exactly when a key misses
+//! behind a published epoch. All reads tally into the service's shared
+//! [`RouteStats`] block. The invariant on display: **no read ever
+//! fails**, no matter how the routes move, and a stale pin converges in
+//! at most one retry per published epoch.
 //!
 //! ```text
 //! cargo run --release --example parallel_rebalance
@@ -47,14 +46,12 @@ fn main() {
             let svc = svc.clone();
             let (stop, misses) = (Arc::clone(&stop), Arc::clone(&misses));
             s.spawn(move || {
-                // Each reader holds a route cache pinned to the serving
-                // cell, tallying into the service's shared stat block;
-                // the cache re-pins only when the version moved past it.
-                let mut cache =
-                    RouteCache::with_stats(Arc::clone(svc.serve()), Arc::clone(svc.read_stats()));
+                // Each reader holds a pinned snapshot; a routed read
+                // re-pins only when its key misses behind a newer epoch.
+                let mut pin = svc.snapshot();
                 let mut i = (t as u32 * 7919) % KEYS;
                 while !stop.load(Ordering::Relaxed) {
-                    if cache.get(&svc, format!("key-{i}").as_bytes()).is_none() {
+                    if svc.get_routed(&mut pin, format!("key-{i}").as_bytes()).value.is_none() {
                         misses.fetch_add(1, Ordering::Relaxed);
                     }
                     i = (i + 1) % KEYS;
@@ -69,16 +66,16 @@ fn main() {
             let (v, mig) = svc.join(SnodeId(n)).expect("join");
             added.push(v);
             println!(
-                "route {}: snode {n} joined as {v} — {} entries migrated",
-                RouteTable::pin(svc.serve()).version(),
+                "route v{}: snode {n} joined as {v} — {} entries migrated",
+                svc.serve().epoch(),
                 mig.entries
             );
         }
         for v in added.drain(..).rev().take(JOINS as usize / 2) {
             let mig = svc.leave(v).expect("leave");
             println!(
-                "route {}: {v} retired — {} entries migrated back",
-                RouteTable::pin(svc.serve()).version(),
+                "route v{}: {v} retired — {} entries migrated back",
+                svc.serve().epoch(),
                 mig.entries
             );
         }
@@ -94,8 +91,8 @@ fn main() {
         c.hit_rate()
     );
     println!(
-        "final route {} at {} vnodes; every read served through live rebalance",
-        RouteTable::pin(svc.serve()).version(),
+        "final route v{} at {} vnodes; every read served through live rebalance",
+        svc.serve().epoch(),
         svc.with_read(|s| s.engine().balance_snapshot().vnodes)
     );
     assert!(c.reads > 0, "readers must observe the rebalance");

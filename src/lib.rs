@@ -25,7 +25,7 @@
 //! | [`ch`] | `domus-ch` | Consistent Hashing baseline (Karger '97 / CFS) |
 //! | [`sim`] | `domus-sim` | cluster network/cost simulator, protocol pricing, memory accounting |
 //! | [`kv`] | `domus-kv` | key-value store with live data migration |
-//! | [`route`] | `domus-route` | routing & failover control plane: versioned shard maps, leases, hot-spot scheduling |
+//! | [`route`] | `domus-route` | routing & failover control plane: route caches, leases, hot-spot scheduling |
 //! | [`wal`] | `domus-wal` | durability tier: segmented write-ahead log + Merkle anti-entropy digests |
 //! | [`churn`] | `domus-churn` | deterministic churn & failure scenario engine |
 //! | [`metrics`] | `domus-metrics` | σ̄ metrics, run averaging, CSV/ASCII reporting |
@@ -81,8 +81,9 @@ pub mod prelude {
         BalanceSnapshot, BatchOutcome, Cluster, CollectReport, ContainerChoice, CountOnly,
         CreateOutcome, DhtConfig, DhtEngine, DhtError, DhtOp, EngineSnapshot, EnrollmentPolicy,
         FailOutcome, GlobalDht, GroupId, LocalDht, NullSink, OwnerSpan, Pdr, RebalanceEvent,
-        RebalanceSink, RejoinOutcome, RemoveOutcome, RouteCounters, RouteStats, SnapshotBuilder,
-        SnapshotCell, SnodeId, SnodeLoad, SplitSelection, Tee, VictimPartitionPolicy, VnodeId,
+        RebalanceSink, RejoinOutcome, RemoveOutcome, RouteCounters, RouteStats, Routed,
+        SnapshotBuilder, SnapshotCell, SnodeId, SnodeLoad, SplitSelection, Tee,
+        VictimPartitionPolicy, VnodeId,
     };
     pub use domus_hashspace::{HashSpace, OwnerMap, Partition, Quota};
     pub use domus_kv::{
@@ -91,8 +92,7 @@ pub mod prelude {
     };
     pub use domus_metrics::{rel_std_dev_pct, Series, Table, Welford};
     pub use domus_route::{
-        Lease, LeaseTable, RouteAction, RouteCache, RouteTable, RouteVersion, Router, RouterConfig,
-        RouterTotals, TickReport,
+        Lease, LeaseTable, RouteAction, RouteCache, Router, RouterConfig, RouterTotals, TickReport,
     };
     pub use domus_sim::{ClusterNet, CostModel, EventPricer, SimDriver, SimTime};
     pub use domus_util::{DomusRng, SeedSequence, SplitMix64, Xoshiro256pp};

@@ -7,17 +7,16 @@
 //! it claims to capture. The harness here drives every backend through a
 //! grow/shrink storm and, at **every** published epoch, replays a dense
 //! probe grid through both the pinned view and the live engine's
-//! [`DhtEngine::lookup`]; any divergence at any epoch on any backend is
-//! a failure. The pinned view is consumed through the [`RouteTable`]
-//! wrapper — the control plane's versioned shard map — which is asserted
-//! to be a *strict* layer: every table resolution is bitwise the
-//! snapshot's. A property test then asserts the retry contract the
-//! serving plane's readers rely on: a pin left one epoch behind always
-//! converges in at most one re-pin.
+//! [`DhtEngine::lookup`] and [`DhtEngine::replicas`]; any divergence at
+//! any epoch on any backend is a failure. A property test then asserts
+//! the retry contract the serving plane's readers rely on: a pin left
+//! one epoch behind always converges in at most one re-pin.
 
 use domus::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
+
+/// Replication factor the replica-chain parity is checked at.
+const R: usize = 3;
 
 /// Probe points: a dense even grid plus the span edges' neighbours.
 fn probe_points(space: HashSpace) -> Vec<u64> {
@@ -27,17 +26,13 @@ fn probe_points(space: HashSpace) -> Vec<u64> {
     pts
 }
 
-/// One epoch's parity check, routed through the [`RouteTable`] wrapper:
-/// the table and the live engine must route every probe point to the
-/// same vnode, the table's snode must be the vnode's actual host, and
-/// the table must be a strict layer over the snapshot it wraps.
-fn assert_parity<E: DhtEngine + ?Sized>(engine: &E, snap: &Arc<EngineSnapshot>, ctx: &str) {
-    let table = RouteTable::new(Arc::clone(snap));
-    assert_eq!(table.version(), RouteVersion(snap.epoch()), "{ctx}: version is the epoch");
-    for p in probe_points(table.space()) {
+/// One epoch's parity check: the snapshot and the live engine must route
+/// every probe point to the same vnode, the snapshot's snode must be the
+/// vnode's actual host, and both must resolve the same replica chain.
+fn assert_parity<E: DhtEngine + ?Sized>(engine: &E, snap: &EngineSnapshot, ctx: &str) {
+    for p in probe_points(snap.space()) {
         let live = engine.lookup(p).map(|(_, v)| v);
-        let served = table.lookup(p);
-        assert_eq!(served, snap.lookup(p), "{ctx}: the table must be a strict layer");
+        let served = snap.lookup(p);
         assert_eq!(
             served.map(|(v, _)| v),
             live,
@@ -52,18 +47,27 @@ fn assert_parity<E: DhtEngine + ?Sized>(engine: &E, snap: &Arc<EngineSnapshot>, 
                 snap.epoch()
             );
         }
+        assert_eq!(
+            snap.replicas(p, R),
+            engine.replicas(p, R),
+            "{ctx}: epoch {} replica chain differs at point {p:#x}",
+            snap.epoch()
+        );
     }
 }
 
 /// Drives one engine through a grow/shrink storm, checking parity at
-/// every published epoch.
-fn storm<E: DhtEngine>(mut engine: E, seed: u64, ctx: &str) {
+/// every published epoch. New vnodes go to snodes `0, 1, 2, …` modulo
+/// `snodes`. Returns how many non-empty epochs had fewer than [`R`]
+/// distinct snodes (thin clusters).
+fn storm<E: DhtEngine>(mut engine: E, seed: u64, snodes: u32, ctx: &str) -> usize {
     let mut builder = SnapshotBuilder::from_engine(&engine);
     let cell = SnapshotCell::new(builder.snapshot());
     assert_parity(&engine, &cell.load(), ctx);
 
     let mut rng = SplitMix64::new(seed);
     let mut next_snode = 0u32;
+    let mut thin = 0;
     for round in 0..40u32 {
         // Weighted coin: grow twice as often as we shrink, so the
         // population climbs while both paths stay exercised.
@@ -75,7 +79,7 @@ fn storm<E: DhtEngine>(mut engine: E, seed: u64, ctx: &str) {
                 builder.note_remove(v);
             }
         } else {
-            let snode = SnodeId(next_snode);
+            let snode = SnodeId(next_snode % snodes);
             next_snode += 1;
             let out = engine
                 .create_vnode_with(snode, &mut builder)
@@ -83,14 +87,14 @@ fn storm<E: DhtEngine>(mut engine: E, seed: u64, ctx: &str) {
             builder.note_create(out.vnode, snode);
         }
         let epoch = builder.publish(&cell);
-        let table = RouteTable::pin(&cell);
-        assert_eq!(
-            table.version(),
-            RouteVersion(epoch),
-            "{ctx}: the cell serves the published epoch"
-        );
-        assert_parity(&engine, table.snapshot(), ctx);
+        let snap = cell.load();
+        assert_eq!(snap.epoch(), epoch, "{ctx}: the cell serves the published epoch");
+        assert_parity(&engine, &snap, ctx);
+        if !snap.is_empty() && snap.snode_count() < R {
+            thin += 1;
+        }
     }
+    thin
 }
 
 #[test]
@@ -100,18 +104,54 @@ fn every_epoch_routes_like_the_live_engine() {
         storm(
             LocalDht::with_seed(DhtConfig::new(space, 8, 4).unwrap(), seed),
             seed,
+            u32::MAX,
             &format!("local seed {seed}"),
         );
         storm(
             GlobalDht::with_seed(DhtConfig::new(space, 8, 1).unwrap(), seed),
             seed,
+            u32::MAX,
             &format!("global seed {seed}"),
         );
         storm(
             ChEngine::with_seed(DhtConfig::new(space, 8, 1).unwrap(), 16, seed),
             seed,
+            u32::MAX,
             &format!("ch seed {seed}"),
         );
+    }
+}
+
+#[test]
+fn replica_chains_match_the_engine_on_shared_and_thin_clusters() {
+    // Snodes hosting several vnodes exercise the distinct-snode rule;
+    // a pool smaller than R keeps every epoch a thin cluster.
+    let space = HashSpace::full();
+    for snodes in [R as u32 - 1, 5] {
+        let seed = 41 + u64::from(snodes);
+        let thin = [
+            storm(
+                LocalDht::with_seed(DhtConfig::new(space, 8, 4).unwrap(), seed),
+                seed,
+                snodes,
+                &format!("local on {snodes} snodes"),
+            ),
+            storm(
+                GlobalDht::with_seed(DhtConfig::new(space, 8, 1).unwrap(), seed),
+                seed,
+                snodes,
+                &format!("global on {snodes} snodes"),
+            ),
+            storm(
+                ChEngine::with_seed(DhtConfig::new(space, 8, 1).unwrap(), 16, seed),
+                seed,
+                snodes,
+                &format!("ch on {snodes} snodes"),
+            ),
+        ];
+        if snodes < R as u32 {
+            assert!(thin.iter().all(|&t| t == 40), "every epoch is thin: {thin:?}");
+        }
     }
 }
 
@@ -126,7 +166,7 @@ fn snapshots_stay_immutable_once_pinned() {
     builder.note_create(out.vnode, SnodeId(0));
     builder.publish(&cell);
 
-    let pinned = RouteTable::pin(&cell);
+    let pinned = cell.load();
     let before: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
     for s in 1..6u32 {
         let out = engine.create_vnode_with(SnodeId(s), &mut builder).unwrap();
@@ -134,12 +174,9 @@ fn snapshots_stay_immutable_once_pinned() {
         builder.publish(&cell);
     }
     let after: Vec<_> = probe_points(pinned.space()).iter().map(|&p| pinned.lookup(p)).collect();
-    assert_eq!(before, after, "a pinned table changed under its reader");
-    assert!(pinned.is_stale(&cell), "five publishes later the pin must read as stale");
-    assert!(
-        RouteTable::pin(&cell).version() > pinned.version(),
-        "a re-pin supersedes the stale version"
-    );
+    assert_eq!(before, after, "a pinned snapshot changed under its reader");
+    assert!(cell.is_stale(&pinned), "five publishes later the pin must read as stale");
+    assert!(cell.load().epoch() > pinned.epoch(), "a re-pin supersedes the stale epoch");
 }
 
 proptest! {
