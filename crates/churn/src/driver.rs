@@ -871,6 +871,17 @@ impl<E: DhtEngine> ChurnDriver<E> {
         self.readers > 0 || self.router.is_some()
     }
 
+    /// Whether a membership op tees its events into the snapshot builder
+    /// and publishes the next epoch itself: with readers or a router on,
+    /// the bare and replicated plants do (the KV service publishes its
+    /// own). The replicated plant publishes *before* its write lock is
+    /// released, so a reader's miss at the current epoch is a genuine
+    /// absence — each op hands its guard out of the plant match and
+    /// drops it only after the publish.
+    fn publishes(&self) -> bool {
+        self.serves_live() && !matches!(self.plant, Plant::Kv(_))
+    }
+
     /// Replays one event (time must be nondecreasing across calls).
     pub fn step(&mut self, event: &ChurnEvent) {
         self.advance_to(event.at);
@@ -1302,45 +1313,31 @@ impl<E: DhtEngine> ChurnDriver<E> {
     fn create_one(&mut self, node: NodeTag) {
         let snode = SnodeId(node.0);
         self.pricer.begin();
-        // With readers or a router on, the bare/replicated plants tee
-        // every event into the snapshot builder and publish the next
-        // epoch before the operation's lock is released (the KV service
-        // does its own).
-        let serve_live = self.serves_live();
-        let (v, entries_moved) = match &mut self.plant {
+        let publish = self.publishes();
+        let mut sink = Tee(publish.then_some(&mut self.builder), &mut self.pricer);
+        let (v, entries_moved, lock) = match &mut self.plant {
             Plant::Bare(e) => {
-                let out = if serve_live {
-                    e.create_vnode_with(snode, &mut Tee(&mut self.builder, &mut self.pricer))
-                } else {
-                    e.create_vnode_with(snode, &mut self.pricer)
-                }
-                .expect("churn replay: create failed");
-                if serve_live {
-                    self.builder.note_create(out.vnode, snode);
-                    self.builder.publish(&self.serve);
-                }
-                (out.vnode, 0)
+                let out =
+                    e.create_vnode_with(snode, &mut sink).expect("churn replay: create failed");
+                (out.vnode, 0, None)
             }
             Plant::Kv(svc) => {
                 let (out, m) =
-                    svc.join_with(snode, &mut self.pricer).expect("churn replay: create failed");
-                (out.vnode, m.entries)
+                    svc.join_with(snode, &mut sink).expect("churn replay: create failed");
+                (out.vnode, m.entries, None)
             }
             Plant::Repl(store) => {
                 let mut g = store.write();
-                let (out, rep) = if serve_live {
-                    let r = g
-                        .join_with(snode, &mut Tee(&mut self.builder, &mut self.pricer))
-                        .expect("churn replay: create failed");
-                    self.builder.note_create(r.0.vnode, snode);
-                    self.builder.publish(&self.serve);
-                    r
-                } else {
-                    g.join_with(snode, &mut self.pricer).expect("churn replay: create failed")
-                };
-                (out.vnode, rep.copies_placed)
+                let (out, rep) =
+                    g.join_with(snode, &mut sink).expect("churn replay: create failed");
+                (out.vnode, rep.copies_placed, Some(g))
             }
         };
+        if publish {
+            self.builder.note_create(v, snode);
+            self.builder.publish(&self.serve);
+        }
+        drop(lock);
         self.load_kv_if_pending();
         let (record_len, participants) = self.record_shape_of(v);
         let cost = self.pricer.finish_create(record_len, participants);
@@ -1380,37 +1377,28 @@ impl<E: DhtEngine> ChurnDriver<E> {
             return None;
         }
         self.pricer.begin();
-        let serve_live = self.serves_live();
-        let entries_moved = match &mut self.plant {
+        let publish = self.publishes();
+        let mut sink = Tee(publish.then_some(&mut self.builder), &mut self.pricer);
+        let (entries_moved, lock) = match &mut self.plant {
             Plant::Bare(e) => {
-                if serve_live {
-                    e.remove_vnode_with(v, &mut Tee(&mut self.builder, &mut self.pricer))
-                        .expect("churn replay: remove failed");
-                    self.builder.note_remove(v);
-                    self.builder.publish(&self.serve);
-                } else {
-                    e.remove_vnode_with(v, &mut self.pricer).expect("churn replay: remove failed");
-                }
-                0
+                e.remove_vnode_with(v, &mut sink).expect("churn replay: remove failed");
+                (0, None)
             }
             Plant::Kv(svc) => {
-                svc.leave_with(v, &mut self.pricer).expect("churn replay: remove failed").1.entries
+                let (_, m) = svc.leave_with(v, &mut sink).expect("churn replay: remove failed");
+                (m.entries, None)
             }
             Plant::Repl(store) => {
                 let mut g = store.write();
-                let rep = if serve_live {
-                    let r = g
-                        .leave_with(v, &mut Tee(&mut self.builder, &mut self.pricer))
-                        .expect("churn replay: remove failed");
-                    self.builder.note_remove(v);
-                    self.builder.publish(&self.serve);
-                    r
-                } else {
-                    g.leave_with(v, &mut self.pricer).expect("churn replay: remove failed")
-                };
-                rep.1.copies_placed
+                let (_, rep) = g.leave_with(v, &mut sink).expect("churn replay: remove failed");
+                (rep.copies_placed, Some(g))
             }
         };
+        if publish {
+            self.builder.note_remove(v);
+            self.builder.publish(&self.serve);
+        }
+        drop(lock);
         // The governing record after the event is visible through any
         // receiver of the redistribution transfers.
         let (record_len, participants) = match self.pricer.first_receiver() {
@@ -1483,37 +1471,25 @@ impl<E: DhtEngine> ChurnDriver<E> {
         }
         let snode = SnodeId(tag.0);
         self.pricer.begin();
-        let serve_live = self.serves_live();
-        let (renames, vnodes_failed, keys_lost, relocated) = match &mut self.plant {
+        let publish = self.publishes();
+        let mut sink = Tee(publish.then_some(&mut self.builder), &mut self.pricer);
+        let ((renames, vnodes_failed, keys_lost, relocated), lock) = match &mut self.plant {
             Plant::Bare(e) => {
-                let out = if serve_live {
-                    let o = e
-                        .fail_snode(snode, &mut Tee(&mut self.builder, &mut self.pricer))
-                        .expect("churn replay: crash failed");
-                    self.builder.note_fail(snode);
-                    self.builder.publish(&self.serve);
-                    o
-                } else {
-                    e.fail_snode(snode, &mut self.pricer).expect("churn replay: crash failed")
-                };
-                (out.renames, out.vnodes.len(), 0, 0)
+                let out = e.fail_snode(snode, &mut sink).expect("churn replay: crash failed");
+                ((out.renames, out.vnodes.len(), 0, 0), None)
             }
             Plant::Repl(store) => {
                 let mut g = store.write();
-                let rep = if serve_live {
-                    let r = g
-                        .fail_snode_with(snode, &mut Tee(&mut self.builder, &mut self.pricer))
-                        .expect("churn replay: crash failed");
-                    self.builder.note_fail(snode);
-                    self.builder.publish(&self.serve);
-                    r
-                } else {
-                    g.fail_snode_with(snode, &mut self.pricer).expect("churn replay: crash failed")
-                };
-                (rep.renames, rep.vnodes_failed, rep.keys_lost, rep.copies_relocated)
+                let rep = g.fail_snode_with(snode, &mut sink).expect("churn replay: crash failed");
+                ((rep.renames, rep.vnodes_failed, rep.keys_lost, rep.copies_relocated), Some(g))
             }
             Plant::Kv(_) => unreachable!("degraded to graceful removal above"),
         };
+        if publish {
+            self.builder.note_fail(snode);
+            self.builder.publish(&self.serve);
+        }
+        drop(lock);
         self.roster.retain(|&(t, _)| t != tag);
         if let Some(r) = &mut self.router {
             // Survivor renames re-key their leases; then the dead
@@ -1591,25 +1567,22 @@ impl<E: DhtEngine> ChurnDriver<E> {
     fn rejoin_repl(&mut self, tag: NodeTag) {
         let snode = SnodeId(tag.0);
         self.pricer.begin();
-        let serve_live = self.serves_live();
+        let publish = self.publishes();
         let started = Instant::now();
         let result = {
             let Plant::Repl(store) = &mut self.plant else {
                 unreachable!("caller checked the plant")
             };
             let mut g = store.write();
-            if serve_live {
-                let r = g.rejoin_snode_with(snode, &mut Tee(&mut self.builder, &mut self.pricer));
-                if let Ok(report) = &r {
-                    for &v in &report.handles {
-                        self.builder.note_create(v, snode);
-                    }
-                    self.builder.publish(&self.serve);
+            let mut sink = Tee(publish.then_some(&mut self.builder), &mut self.pricer);
+            let r = g.rejoin_snode_with(snode, &mut sink);
+            if let (true, Ok(report)) = (publish, &r) {
+                for &v in &report.handles {
+                    self.builder.note_create(v, snode);
                 }
-                r
-            } else {
-                g.rejoin_snode_with(snode, &mut self.pricer)
+                self.builder.publish(&self.serve);
             }
+            r
         };
         let report = match result {
             Ok(report) => report,

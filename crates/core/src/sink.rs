@@ -106,6 +106,16 @@ impl<S: RebalanceSink + ?Sized> RebalanceSink for &mut S {
     }
 }
 
+/// `Some` forwards every event, `None` discards it — tee into a sink only
+/// some runs need without a second call site.
+impl<S: RebalanceSink> RebalanceSink for Option<S> {
+    fn event(&mut self, e: RebalanceEvent) {
+        if let Some(s) = self {
+            s.event(e);
+        }
+    }
+}
+
 /// Discards every event — the allocation-free hot path for replay loops
 /// that only need the operation's outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

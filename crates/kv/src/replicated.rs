@@ -45,16 +45,16 @@
 //!   snode wholesale from replicas. Replay re-homes every still-live key
 //!   onto its current primary's log and then checkpoints the rejoined
 //!   log, which is what lets segments truncate.
-//! * **Anti-entropy** — each vnode slot carries an incrementally
-//!   maintained bucket-digest map (XOR of [`entry_hash`] per bucket),
-//!   updated by the same code paths that move data. Repair builds a
-//!   per-partition [`DigestTree`] over the primary's and each follower's
-//!   span from those digests and walks the Merkle diff, so only the
-//!   buckets that actually diverge are shipped — the full-rebuild byte
-//!   cost is reported alongside for comparison
+//! * **Anti-entropy** — every bucket carries its digest as a field (XOR
+//!   of [`entry_hash`] over its entries), toggled by the one copy write
+//!   and removed with the bucket, so the digests move wherever the data
+//!   moves. Repair builds a per-partition [`DigestTree`] over the
+//!   primary's and each follower's span from those digests and walks the
+//!   Merkle diff, so only the buckets that actually diverge are shipped —
+//!   the full-rebuild byte cost is reported alongside for comparison
 //!   ([`RepairReport::bytes_shipped`] vs [`RepairReport::bytes_full`]).
 
-use crate::store::{bucket_search, slot_of, Bucket};
+use crate::store::{bucket_search, detach_span, slot_of, span_range, Bucket};
 use bytes::Bytes;
 use domus_core::{
     read_routed, CreateOutcome, DhtEngine, DhtError, EngineSnapshot, NullSink, RebalanceEvent,
@@ -64,7 +64,6 @@ use domus_hashspace::hasher::Fnv1aHasher;
 use domus_hashspace::{HashSpace, KeyHasher, Partition};
 use domus_wal::{entry_hash, DigestTree, SegmentedWal, WalRecord};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// A half-open hash-space range `[start, end)` (`end` is `u128` because
@@ -91,6 +90,53 @@ impl RebalanceSink for RangeTap<'_> {
             self.touched.push((t.partition.start(self.space), t.partition.end(self.space)));
         }
         self.out.event(e);
+    }
+}
+
+/// One point's copies on one slot: the entries, sorted by key, and their
+/// digest — the XOR of [`entry_hash`] over them, the leaf input of the
+/// repair-time Merkle comparison. A bucket holds each key at most once,
+/// so XOR is an exact toggle.
+#[derive(Debug, Clone, Default)]
+struct CopyBucket {
+    entries: Bucket,
+    digest: u64,
+}
+
+impl CopyBucket {
+    /// Inserts or replaces `key`'s entry (`hash` = its [`entry_hash`]),
+    /// returning the replaced value.
+    fn upsert(&mut self, key: &Bytes, value: &Bytes, hash: u64) -> Option<Bytes> {
+        self.digest ^= hash;
+        match bucket_search(&self.entries, key) {
+            Ok(at) => {
+                let old = std::mem::replace(&mut self.entries[at].1, value.clone());
+                self.digest ^= entry_hash(key, &old);
+                Some(old)
+            }
+            Err(at) => {
+                self.entries.insert(at, (key.clone(), value.clone()));
+                None
+            }
+        }
+    }
+
+    /// Removes `key`'s entry, returning its value.
+    fn remove(&mut self, key: &[u8]) -> Option<Bytes> {
+        let at = bucket_search(&self.entries, key).ok()?;
+        let (_, value) = self.entries.remove(at);
+        self.digest ^= entry_hash(key, &value);
+        Some(value)
+    }
+
+    /// The value stored for `key`, if any.
+    fn get(&self, key: &[u8]) -> Option<&Bytes> {
+        bucket_search(&self.entries, key).ok().map(|at| &self.entries[at].1)
+    }
+
+    /// Key + value bytes of every entry.
+    fn bytes(&self) -> u64 {
+        self.entries.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum()
     }
 }
 
@@ -218,13 +264,7 @@ pub struct ReplicatedStore<E: DhtEngine> {
     stats: Arc<RouteStats>,
     /// Copy maps indexed by vnode arena slot; a point may appear in up to
     /// `R` slots (one copy per replica).
-    data: Vec<BTreeMap<u64, Bucket>>,
-    /// Per-slot bucket digests, maintained in lock-step with `data`:
-    /// `digests[slot][point]` is the XOR of [`entry_hash`] over the
-    /// bucket's entries — the leaf inputs of the repair-time Merkle
-    /// comparison. A slot holds each entry at most once, so XOR is an
-    /// exact toggle.
-    digests: Vec<BTreeMap<u64, u64>>,
+    data: Vec<BTreeMap<u64, CopyBucket>>,
     /// Per-snode write-ahead logs. A crash leaves the victim's log in
     /// place (the disk survives); only the in-memory slots die.
     wals: BTreeMap<SnodeId, SegmentedWal>,
@@ -255,7 +295,6 @@ impl<E: DhtEngine> ReplicatedStore<E> {
             r,
             stats: Arc::new(RouteStats::new()),
             data: vec![BTreeMap::new(); slots],
-            digests: vec![BTreeMap::new(); slots],
             wals: BTreeMap::new(),
             crashed: BTreeMap::new(),
             keys: 0,
@@ -313,7 +352,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
 
     /// Total replica copies currently stored (`R × len` at full strength).
     pub fn copies(&self) -> u64 {
-        self.data.iter().flat_map(|m| m.values()).map(|b| b.len() as u64).sum()
+        self.data.iter().flat_map(|m| m.values()).map(|b| b.entries.len() as u64).sum()
     }
 
     /// `true` while crash-touched ranges await [`ReplicatedStore::repair`].
@@ -353,29 +392,13 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         let point = self.point_of(&key);
         let replicas = self.engine.replicas(point, self.r);
         assert!(!replicas.is_empty(), "put on an empty DHT");
-        let record = WalRecord::Put { key: key.clone(), value: value.clone() };
-        let new_hash = entry_hash(&key, &value);
+        let hash = entry_hash(&key, &value);
         let mut prev = None;
         for (i, &v) in replicas.iter().enumerate() {
-            if let Ok(s) = self.engine.snode_of(v) {
-                self.wals.entry(s).or_default().append(&record);
+            let old = self.write_copy(v, point, &key, &value, hash);
+            if i == 0 {
+                prev = old;
             }
-            let bucket = slot_of(&mut self.data, v).entry(point).or_default();
-            let toggle = match bucket_search(bucket, &key) {
-                Ok(at) => {
-                    let old = std::mem::replace(&mut bucket[at].1, value.clone());
-                    let t = entry_hash(&key, &old) ^ new_hash;
-                    if i == 0 {
-                        prev = Some(old);
-                    }
-                    t
-                }
-                Err(at) => {
-                    bucket.insert(at, (key.clone(), value.clone()));
-                    new_hash
-                }
-            };
-            *digest_slot(&mut self.digests, v).entry(point).or_insert(0) ^= toggle;
         }
         if prev.is_none() {
             self.keys += 1;
@@ -386,15 +409,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// Fallback read: probes the replica chain in placement order and
     /// returns the first copy found.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        let point = self.point_of(key);
-        for v in self.engine.replicas(point, self.r) {
-            if let Some(bucket) = self.data.get(v.index()).and_then(|m| m.get(&point)) {
-                if let Ok(i) = bucket_search(bucket, key) {
-                    return Some(bucket[i].1.clone());
-                }
-            }
-        }
-        None
+        self.get_quorum(key).value
     }
 
     /// Quorum read: the value (with fallback) plus how many replicas hold
@@ -461,12 +476,10 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         let mut value = None;
         let mut hits = 0u32;
         for v in replicas {
-            if let Some(bucket) = self.data.get(v.index()).and_then(|m| m.get(&point)) {
-                if let Ok(i) = bucket_search(bucket, key) {
-                    hits += 1;
-                    if value.is_none() {
-                        value = Some(bucket[i].1.clone());
-                    }
+            if let Some(held) = self.copy_of(v.index(), point, key) {
+                hits += 1;
+                if value.is_none() {
+                    value = Some(held.clone());
                 }
             }
         }
@@ -485,18 +498,9 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         for &v in &replicas {
             let Some(map) = self.data.get_mut(v.index()) else { continue };
             let Some(bucket) = map.get_mut(&point) else { continue };
-            if let Ok(i) = bucket_search(bucket, key) {
-                let (_, value) = bucket.remove(i);
-                let emptied = bucket.is_empty();
-                if emptied {
+            if let Some(value) = bucket.remove(key) {
+                if bucket.entries.is_empty() {
                     map.remove(&point);
-                }
-                if let Some(dmap) = self.digests.get_mut(v.index()) {
-                    if emptied {
-                        dmap.remove(&point);
-                    } else if let Some(d) = dmap.get_mut(&point) {
-                        *d ^= entry_hash(key, &value);
-                    }
                 }
                 removed.get_or_insert(value);
             }
@@ -535,20 +539,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         snode: SnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(CreateOutcome, RepairReport), DhtError> {
-        let space = self.space();
-        let mut tap = RangeTap::new(space, sink);
-        let outcome = self.engine.create_vnode_with(snode, &mut tap)?;
-        let ranges = self.extend_and_merge(tap.touched);
-        let (copies_placed, bytes) = self.rebuild_ranges(&ranges, true);
-        Ok((
-            outcome,
-            RepairReport {
-                ranges: ranges.len(),
-                copies_placed,
-                bytes_shipped: bytes,
-                bytes_full: bytes,
-            },
-        ))
+        self.rebalance(sink, |engine, tap| engine.create_vnode_with(snode, tap))
     }
 
     /// Gracefully removes a vnode: its data (primary *and* follower
@@ -565,24 +556,35 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         v: VnodeId,
         sink: &mut dyn RebalanceSink,
     ) -> Result<(RemoveOutcome, RepairReport), DhtError> {
-        let space = self.space();
-        let mut tap = RangeTap::new(space, sink);
-        let outcome = self.engine.remove_vnode_with(v, &mut tap)?;
-        let ranges = self.extend_and_merge(tap.touched);
-        let (copies_placed, bytes) = self.rebuild_ranges(&ranges, true);
+        let out = self.rebalance(sink, |engine, tap| engine.remove_vnode_with(v, tap))?;
         debug_assert!(
             self.data.get(v.index()).map(BTreeMap::is_empty).unwrap_or(true),
             "a graceful leave must drain every copy off the departing vnode"
         );
-        Ok((
-            outcome,
-            RepairReport {
-                ranges: ranges.len(),
-                copies_placed,
-                bytes_shipped: bytes,
-                bytes_full: bytes,
-            },
-        ))
+        Ok(out)
+    }
+
+    /// The one membership path of graceful changes: runs `op` on the
+    /// engine through a [`RangeTap`] (forwarding every event to `sink`),
+    /// then rebuilds the touched ranges plus their backward horizons at
+    /// full strength. Everything the rebuild re-places is shipped, so
+    /// `bytes_shipped == bytes_full`.
+    fn rebalance<T>(
+        &mut self,
+        sink: &mut dyn RebalanceSink,
+        op: impl FnOnce(&mut E, &mut dyn RebalanceSink) -> Result<T, DhtError>,
+    ) -> Result<(T, RepairReport), DhtError> {
+        let mut tap = RangeTap::new(self.space(), sink);
+        let outcome = op(&mut self.engine, &mut tap)?;
+        let ranges = self.extend_and_merge(tap.touched);
+        let (copies_placed, bytes) = self.rebuild_ranges(&ranges, true);
+        let repair = RepairReport {
+            ranges: ranges.len(),
+            copies_placed,
+            bytes_shipped: bytes,
+            bytes_full: bytes,
+        };
+        Ok((outcome, repair))
     }
 
     /// Crashes a snode: its slots are destroyed (not migrated), the
@@ -618,20 +620,16 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         let outcome = self.engine.fail_snode(s, &mut tap)?;
 
         // The crash proper: every in-memory copy the snode held is gone
-        // (and so are its bucket digests) — but its WAL survives: the
-        // log models the disk, which is exactly what a later
-        // `rejoin_snode` replays. Remember the vnode count so the
-        // rejoin re-enrols at the same size.
+        // — but its WAL survives: the log models the disk, which is
+        // exactly what a later `rejoin_snode` replays. Remember the vnode
+        // count so the rejoin re-enrols at the same size.
         self.crashed.insert(s, victims.len());
         let mut doomed: Vec<(u64, Bytes)> = Vec::new();
         for &v in &victims {
             if let Some(map) = self.data.get_mut(v.index()) {
                 for (point, bucket) in std::mem::take(map) {
-                    doomed.extend(bucket.into_iter().map(|(k, _)| (point, k)));
+                    doomed.extend(bucket.entries.into_iter().map(|(k, _)| (point, k)));
                 }
-            }
-            if let Some(dmap) = self.digests.get_mut(v.index()) {
-                dmap.clear();
             }
         }
 
@@ -668,12 +666,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                 primary = Some((p, v.index()));
             }
             let slot = primary.as_ref().expect("memoized above").1;
-            let alive = self
-                .data
-                .get(slot)
-                .and_then(|m| m.get(point))
-                .is_some_and(|b| bucket_search(b, key).is_ok());
-            if !alive {
+            if self.copy_of(slot, *point, key).is_none() {
                 keys_lost += 1;
             }
         }
@@ -732,12 +725,10 @@ impl<E: DhtEngine> ReplicatedStore<E> {
             return;
         }
         let primary = chain[0].index();
-        let bucket_bytes =
-            |b: &Bucket| -> u64 { b.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum() };
         let span_bytes: u64 = self
             .data
             .get(primary)
-            .map(|m| span_range(m, start, end).map(|(_, b)| bucket_bytes(b)).sum())
+            .map(|m| span_range(m, start, end).map(|(_, b)| b.bytes()).sum())
             .unwrap_or(0);
         // The eager rebuild gathered every copy and re-placed every entry
         // onto every chain slot — that is the baseline being beaten.
@@ -753,24 +744,25 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         let shift = 64u32.saturating_sub(bits.min(64));
         let norm = |p: u64| -> u64 { (p - start) << shift };
 
-        let empty: BTreeMap<u64, u64> = BTreeMap::new();
-        let pdig = self.digests.get(primary).unwrap_or(&empty);
-        let pbuckets: Vec<(u64, u64)> =
-            span_range(pdig, start, end).map(|(&p, &d)| (p, d)).collect();
+        let digests = |slot: usize| -> Vec<(u64, u64)> {
+            self.data
+                .get(slot)
+                .map(|m| span_range(m, start, end).map(|(&p, b)| (p, b.digest)).collect())
+                .unwrap_or_default()
+        };
+        let pbuckets = digests(primary);
         let mut ptree = DigestTree::new(4);
         for &(p, d) in &pbuckets {
             ptree.toggle(norm(p), d);
         }
 
-        // Plan each follower's divergence while the digests are borrowed,
+        // Plan each follower's divergence while the buckets are borrowed,
         // then apply the shipments.
-        type ShipPlan = (usize, u8, Vec<(u64, u64)>, Vec<u64>);
+        type ShipPlan = (usize, u8, Vec<u64>, Vec<u64>);
         let mut plans: Vec<ShipPlan> = Vec::new();
         for (rank, &fv) in chain.iter().enumerate().skip(1) {
             let fslot = fv.index();
-            let fdig = self.digests.get(fslot).unwrap_or(&empty);
-            let fbuckets: Vec<(u64, u64)> =
-                span_range(fdig, start, end).map(|(&p, &d)| (p, d)).collect();
+            let fbuckets = digests(fslot);
             let mut ftree = DigestTree::new(4);
             for &(p, d) in &fbuckets {
                 ftree.toggle(norm(p), d);
@@ -784,12 +776,12 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                 let np = norm(p);
                 np >= lo && hi.map_or(true, |h| np < h)
             };
-            let mut ship: Vec<(u64, u64)> = Vec::new();
+            let mut ship: Vec<u64> = Vec::new();
             let mut drop: Vec<u64> = Vec::new();
             for leaf in divergent {
                 for &(p, d) in &pbuckets {
                     if in_leaf(p, leaf, &ptree) && fbuckets.binary_search(&(p, d)).is_err() {
-                        ship.push((p, d));
+                        ship.push(p);
                     }
                 }
                 for &(p, _) in &fbuckets {
@@ -821,16 +813,17 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                 }
                 home
             };
-            for (point, digest) in ship {
+            for point in ship {
+                // The cloned bucket brings its digest with it.
                 let bucket =
                     self.data.get(primary).and_then(|m| m.get(&point)).cloned().unwrap_or_default();
-                report.bytes_shipped += bucket_bytes(&bucket);
-                report.copies_placed += bucket.len() as u64;
+                report.bytes_shipped += bucket.bytes();
+                report.copies_placed += bucket.entries.len() as u64;
                 // Re-log each shipped copy on the receiving snode: the
                 // repaired follower must be able to replay what it holds.
                 if let Some(s) = home {
                     let wal = self.wals.entry(s).or_default();
-                    for (k, v) in &bucket {
+                    for (k, v) in &bucket.entries {
                         wal.append(&WalRecord::Put { key: k.clone(), value: v.clone() });
                     }
                 }
@@ -838,16 +831,9 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                     self.data.resize_with(fslot + 1, BTreeMap::new);
                 }
                 self.data[fslot].insert(point, bucket);
-                if self.digests.len() <= fslot {
-                    self.digests.resize_with(fslot + 1, BTreeMap::new);
-                }
-                self.digests[fslot].insert(point, digest);
             }
             for point in drop {
                 if let Some(m) = self.data.get_mut(fslot) {
-                    m.remove(&point);
-                }
-                if let Some(m) = self.digests.get_mut(fslot) {
                     m.remove(&point);
                 }
             }
@@ -882,18 +868,9 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         // Control plane first: re-enrol, and rebuild the touched ranges
         // in-line exactly like a join (these are fresh vnodes pulling
         // partitions — full re-replication of what they now own).
-        let space = self.space();
-        let mut tap = RangeTap::new(space, sink);
-        let outcome = self.engine.rejoin_snode(s, vnodes, &mut tap)?;
+        let (outcome, repair) =
+            self.rebalance(sink, |engine, tap| engine.rejoin_snode(s, vnodes, tap))?;
         self.crashed.remove(&s);
-        let ranges = self.extend_and_merge(tap.touched);
-        let (copies_placed, bytes) = self.rebuild_ranges(&ranges, true);
-        let repair = RepairReport {
-            ranges: ranges.len(),
-            copies_placed,
-            bytes_shipped: bytes,
-            bytes_full: bytes,
-        };
 
         // Replay: fold the log into its final per-key state.
         let mut report = RejoinReport {
@@ -1043,30 +1020,25 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     /// gathers every copy stored anywhere in each range, dedups per key,
     /// and re-places each key on a placement-order prefix of its current
     /// replica chain — the full chain when `full`, else as many replicas
-    /// as copies survived (relocation without re-replication). Bucket
-    /// digests are maintained in the same pass, and each partition's
-    /// chain decision is logged to the holders' WALs as a placement
-    /// record. Returns `(copies placed, entry bytes shipped)`.
+    /// as copies survived (relocation without re-replication). Each
+    /// partition's chain decision is logged to the holders' WALs as a
+    /// placement record. Returns `(copies placed, entry bytes shipped)`.
     fn rebuild_ranges(&mut self, ranges: &[Range], full: bool) -> (u64, u64) {
         let space = self.space();
         let mut placed = 0u64;
         let mut bytes = 0u64;
         for &(start, end) in ranges {
-            // Gather: detach [start, end) from every slot, merging copies
-            // per (point, key) with a survivor count.
+            // Gather: detach [start, end) from every slot (digests go with
+            // their buckets), merging copies per (point, key) with a
+            // survivor count.
             let mut union: BTreeMap<u64, Vec<(Bytes, Bytes, usize)>> = BTreeMap::new();
             for map in &mut self.data {
                 if map.is_empty() {
                     continue;
                 }
-                let mut mid = map.split_off(&start);
-                if end <= u64::MAX as u128 {
-                    let mut keep = mid.split_off(&(end as u64));
-                    map.append(&mut keep);
-                }
-                for (point, bucket) in mid {
+                for (point, bucket) in detach_span(map, start, end) {
                     let merged = union.entry(point).or_default();
-                    for (k, v) in bucket {
+                    for (k, v) in bucket.entries {
                         match merged.binary_search_by(|(mk, _, _)| mk.as_ref().cmp(k.as_ref())) {
                             Ok(i) => {
                                 debug_assert_eq!(merged[i].1, v, "replica copies diverged");
@@ -1077,76 +1049,64 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                     }
                 }
             }
-            // The detached digests go with the data; placement rebuilds
-            // both sides in lock-step.
-            for dmap in &mut self.digests {
-                if dmap.is_empty() {
-                    continue;
-                }
-                let mut mid = dmap.split_off(&start);
-                if end <= u64::MAX as u128 {
-                    let mut keep = mid.split_off(&(end as u64));
-                    dmap.append(&mut keep);
-                }
-            }
             // Re-place, memoizing the replica chain per partition (every
             // point of one partition shares it).
-            let (engine, data, digests, wals, r) =
-                (&self.engine, &mut self.data, &mut self.digests, &mut self.wals, self.r);
-            let mut memo: Option<(Partition, Vec<VnodeId>, Vec<Option<SnodeId>>)> = None;
+            let mut memo: Option<(Partition, Vec<VnodeId>)> = None;
             for (point, bucket) in union {
-                let stale = !matches!(&memo, Some((p, _, _)) if p.contains(point, space));
-                if stale {
-                    let (p, _) = engine.lookup(point).expect("routing is total");
-                    let replicas = engine.replicas(point, r);
+                if !matches!(&memo, Some((p, _)) if p.contains(point, space)) {
+                    let (p, _) = self.engine.lookup(point).expect("routing is total");
+                    let replicas = self.engine.replicas(point, self.r);
                     // Durable placement note on every holder's log: this
                     // partition's copies now live on this chain.
-                    let homes: Vec<Option<SnodeId>> =
-                        replicas.iter().map(|&rv| engine.snode_of(rv).ok()).collect();
-                    for (rank, s) in homes.iter().enumerate() {
-                        if let Some(s) = *s {
-                            wals.entry(s).or_default().append(&WalRecord::Placement {
+                    for (rank, &rv) in replicas.iter().enumerate() {
+                        if let Ok(s) = self.engine.snode_of(rv) {
+                            self.wals.entry(s).or_default().append(&WalRecord::Placement {
                                 partition: p.start(space),
                                 snode: s,
                                 rank: rank.min(u8::MAX as usize) as u8,
                             });
                         }
                     }
-                    memo = Some((p, replicas, homes));
+                    memo = Some((p, replicas));
                 }
-                let (_, replicas, homes) = memo.as_ref().expect("memoized above");
+                let (_, replicas) = memo.as_ref().expect("memoized above");
                 for (k, v, survivors) in bucket {
                     let n = if full { replicas.len() } else { survivors.min(replicas.len()) };
                     placed += n as u64;
                     bytes += (k.len() + v.len()) as u64 * n as u64;
-                    let h = entry_hash(&k, &v);
                     // Every migrated copy is re-logged on its new home as
                     // it is applied: the write-ahead discipline must follow
                     // the data, or a key whose copies all moved since their
                     // original `put` would have no replayable record on any
                     // of the snodes that actually hold it when they crash.
-                    let record = WalRecord::Put { key: k.clone(), value: v.clone() };
-                    for (&rv, home) in replicas.iter().zip(homes).take(n) {
-                        if let Some(s) = *home {
-                            wals.entry(s).or_default().append(&record);
-                        }
-                        let slot = slot_of(data, rv).entry(point).or_default();
-                        let toggle = match bucket_search(slot, &k) {
-                            Ok(at) => {
-                                let old = std::mem::replace(&mut slot[at].1, v.clone());
-                                entry_hash(&k, &old) ^ h
-                            }
-                            Err(at) => {
-                                slot.insert(at, (k.clone(), v.clone()));
-                                h
-                            }
-                        };
-                        *digest_slot(digests, rv).entry(point).or_insert(0) ^= toggle;
+                    let h = entry_hash(&k, &v);
+                    for &rv in replicas.iter().take(n) {
+                        self.write_copy(rv, point, &k, &v, h);
                     }
                 }
             }
         }
         (placed, bytes)
+    }
+
+    /// The one copy write, shared by [`ReplicatedStore::put`] and the
+    /// rebuild: appends the entry's `Put` to the holder's WAL, then
+    /// inserts or replaces it in `v`'s bucket at `point` (`hash` = its
+    /// [`entry_hash`], toggled into the bucket digest). Returns the value
+    /// it replaced.
+    fn write_copy(
+        &mut self,
+        v: VnodeId,
+        point: u64,
+        key: &Bytes,
+        value: &Bytes,
+        hash: u64,
+    ) -> Option<Bytes> {
+        if let Ok(s) = self.engine.snode_of(v) {
+            let record = WalRecord::Put { key: key.clone(), value: value.clone() };
+            self.wals.entry(s).or_default().append(&record);
+        }
+        slot_of(&mut self.data, v).entry(point).or_default().upsert(key, value, hash)
     }
 
     /// Every live key, in deterministic (hash point, key) order, read off
@@ -1158,7 +1118,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
             for (&point, bucket) in map {
                 let primary = self.engine.lookup(point).map(|(_, v)| v.index());
                 if primary == Some(slot) {
-                    points.push((point, bucket));
+                    points.push((point, &bucket.entries));
                 }
             }
         }
@@ -1178,12 +1138,22 @@ impl<E: DhtEngine> ReplicatedStore<E> {
     ///    the first probe), with byte-identical values;
     /// 3. the key counter matches the number of primary copies;
     /// 4. with no repair pending, every key is fully replicated
-    ///    (`min(R, distinct snodes)` copies).
+    ///    (`min(R, distinct snodes)` copies);
+    /// 5. every bucket's digest equals a fresh recomputation from its
+    ///    entries — the anti-entropy comparison is only as sound as its
+    ///    inputs.
     pub fn verify_replication(&self) -> Result<(), String> {
         let mut primaries = 0u64;
         for (slot, map) in self.data.iter().enumerate() {
             for (&point, bucket) in map {
-                for (key, value) in bucket {
+                let want = bucket.entries.iter().fold(0u64, |acc, (k, v)| acc ^ entry_hash(k, v));
+                if bucket.digest != want {
+                    return Err(format!(
+                        "slot {slot} point {point}: digest {:#x} != recomputed {want:#x}",
+                        bucket.digest
+                    ));
+                }
+                for (key, value) in &bucket.entries {
                     if self.point_of(key) != point {
                         return Err(format!("key stored under wrong point {point}"));
                     }
@@ -1193,12 +1163,7 @@ impl<E: DhtEngine> ReplicatedStore<E> {
                     })?;
                     let mut copies = 0usize;
                     for (i, &rv) in replicas.iter().enumerate() {
-                        let held = self
-                            .data
-                            .get(rv.index())
-                            .and_then(|m| m.get(&point))
-                            .and_then(|b| bucket_search(b, key).ok().map(|at| &b[at].1));
-                        match held {
+                        match self.copy_of(rv.index(), point, key) {
                             Some(v) if v == value => copies += 1,
                             Some(_) => return Err(format!("replica divergence at point {point}")),
                             None if i < pos => {
@@ -1224,51 +1189,13 @@ impl<E: DhtEngine> ReplicatedStore<E> {
         if primaries != self.keys {
             return Err(format!("key counter {} but {primaries} primary copies", self.keys));
         }
-        // 5. the incrementally maintained bucket digests equal a fresh
-        //    recomputation from the data — the anti-entropy comparison is
-        //    only as sound as its inputs.
-        for (slot, map) in self.data.iter().enumerate() {
-            for (&point, bucket) in map {
-                let want = bucket.iter().fold(0u64, |acc, (k, v)| acc ^ entry_hash(k, v));
-                let got = self.digests.get(slot).and_then(|m| m.get(&point)).copied();
-                if got != Some(want) {
-                    return Err(format!(
-                        "slot {slot} point {point}: digest {got:?} != recomputed {want:#x}"
-                    ));
-                }
-            }
-        }
-        for (slot, dmap) in self.digests.iter().enumerate() {
-            for &point in dmap.keys() {
-                let populated =
-                    self.data.get(slot).and_then(|m| m.get(&point)).is_some_and(|b| !b.is_empty());
-                if !populated {
-                    return Err(format!("slot {slot} point {point}: digest for an empty bucket"));
-                }
-            }
-        }
         Ok(())
     }
-}
 
-/// The digest map of a vnode's slot, growing the arena like
-/// [`slot_of`] does for the data maps.
-fn digest_slot(digests: &mut Vec<BTreeMap<u64, u64>>, v: VnodeId) -> &mut BTreeMap<u64, u64> {
-    if digests.len() <= v.index() {
-        digests.resize_with(v.index() + 1, BTreeMap::new);
+    /// The copy of `key` that `slot` holds at `point`, if any.
+    fn copy_of(&self, slot: usize, point: u64, key: &[u8]) -> Option<&Bytes> {
+        self.data.get(slot)?.get(&point)?.get(key)
     }
-    &mut digests[v.index()]
-}
-
-/// Iterates a point-keyed map over the half-open span `[start, end)`
-/// (`end` may be the full space's top, which exceeds `u64`).
-fn span_range<V>(
-    map: &BTreeMap<u64, V>,
-    start: u64,
-    end: u128,
-) -> std::collections::btree_map::Range<'_, u64, V> {
-    let upper = if end > u64::MAX as u128 { Bound::Unbounded } else { Bound::Excluded(end as u64) };
-    map.range((Bound::Included(start), upper))
 }
 
 /// Sorts and coalesces overlapping/adjacent ranges.
@@ -1698,6 +1625,58 @@ mod tests {
         kv.verify_replication().unwrap();
         for i in 0..150u32 {
             assert_eq!(kv.replicas_of(format!("key:{i}").as_bytes()).len(), 3);
+        }
+    }
+
+    #[test]
+    fn dense_buckets_keep_their_digests_through_writes_and_churn() {
+        // 3000 keys on a 10-bit space (1024 points): by pigeonhole many
+        // buckets hold several keys, so overwrites, removals that leave a
+        // bucket non-empty and rebuilds merging multi-key buckets all run.
+        let cfg = DhtConfig::new(HashSpace::new(10), 4, 2).unwrap();
+        let mut kv = ReplicatedStore::new(LocalDht::with_seed(cfg, 7), 2);
+        for s in 0..6u32 {
+            kv.join(SnodeId(s)).unwrap();
+        }
+        let n = 3000u32;
+        for i in 0..n {
+            kv.put(format!("key:{i}"), format!("value-{i}"));
+        }
+        assert!(kv.data.iter().flat_map(|m| m.values()).any(|b| b.entries.len() > 1));
+        let mut expected = u64::from(n);
+        let check = |kv: &ReplicatedStore<LocalDht>, step: &str, expected: u64| {
+            kv.verify_replication().unwrap_or_else(|e| panic!("after {step}: {e}"));
+            assert_eq!(kv.len(), expected, "after {step}");
+        };
+        check(&kv, "puts", expected);
+        for i in (0..n).step_by(3) {
+            assert!(kv.put(format!("key:{i}"), format!("new-{i}")).is_some());
+        }
+        check(&kv, "overwrites", expected);
+        for i in (0..n).step_by(5) {
+            assert!(kv.remove(format!("key:{i}").as_bytes()).is_some());
+            expected -= 1;
+        }
+        check(&kv, "removes", expected);
+        assert_eq!(kv.fail_snode(SnodeId(2)).unwrap().keys_lost, 0);
+        check(&kv, "fail_snode", expected);
+        kv.repair();
+        check(&kv, "repair", expected);
+        kv.rejoin_snode(SnodeId(2)).unwrap();
+        check(&kv, "rejoin_snode", expected);
+        kv.join(SnodeId(6)).unwrap();
+        check(&kv, "join", expected);
+        let v = kv.engine().vnodes()[0];
+        kv.leave(v).unwrap();
+        check(&kv, "leave", expected);
+        for i in 0..n {
+            let want = match (i % 5, i % 3) {
+                (0, _) => None,
+                (_, 0) => Some(format!("new-{i}")),
+                _ => Some(format!("value-{i}")),
+            };
+            let got = kv.get(format!("key:{i}").as_bytes());
+            assert_eq!(got.as_deref(), want.as_deref().map(str::as_bytes), "key:{i}");
         }
     }
 

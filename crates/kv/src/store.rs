@@ -16,7 +16,9 @@ use domus_core::{
 };
 use domus_hashspace::hasher::Fnv1aHasher;
 use domus_hashspace::{HashSpace, KeyHasher};
+use std::collections::btree_map::Range;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Per-point bucket: distinct keys hashing to the same point (rare but
 /// legal) are chained, **sorted by key** so probes are binary searches
@@ -69,16 +71,7 @@ impl<'a> MigrationSink<'a> {
     fn apply_transfer(&mut self, t: &Transfer) {
         let start = t.partition.start(self.space);
         let end = t.partition.end(self.space); // u128: may be 2^Bh
-        let donor = slot_of(self.data, t.from);
-        // Detach [start, end) from the donor.
-        let mut moved = donor.split_off(&start);
-        if end <= u64::MAX as u128 {
-            let mut keep = moved.split_off(&(end as u64));
-            // Every key in `keep` (≥ end) exceeds every remaining donor key
-            // (< start), so this is an O(keep) ordered append, not
-            // re-insertion.
-            donor.append(&mut keep);
-        }
+        let moved = detach_span(slot_of(self.data, t.from), start, end);
         self.moved.transfers += 1;
         for bucket in moved.values() {
             for (k, v) in bucket {
@@ -99,15 +92,36 @@ impl RebalanceSink for MigrationSink<'_> {
     }
 }
 
-/// The entry map of a vnode slot, growing the arena on demand.
-pub(crate) fn slot_of(
-    data: &mut Vec<BTreeMap<u64, Bucket>>,
-    v: VnodeId,
-) -> &mut BTreeMap<u64, Bucket> {
+/// The point-keyed map of a vnode slot, growing the arena on demand.
+pub(crate) fn slot_of<V>(data: &mut Vec<BTreeMap<u64, V>>, v: VnodeId) -> &mut BTreeMap<u64, V> {
     if data.len() <= v.index() {
         data.resize_with(v.index() + 1, BTreeMap::new);
     }
     &mut data[v.index()]
+}
+
+/// Iterates a point-keyed map over the half-open span `[start, end)`
+/// (`end` may be the full space's top, which exceeds `u64`).
+pub(crate) fn span_range<V>(map: &BTreeMap<u64, V>, start: u64, end: u128) -> Range<'_, u64, V> {
+    let upper = if end > u64::MAX as u128 { Bound::Unbounded } else { Bound::Excluded(end as u64) };
+    map.range((Bound::Included(start), upper))
+}
+
+/// Detaches the half-open span `[start, end)` from a point-keyed map and
+/// returns it. Every key re-attached from past `end` exceeds every key
+/// left below `start`, so this is an ordered `split_off`/`append`, never
+/// a per-key re-insertion.
+pub(crate) fn detach_span<V>(
+    map: &mut BTreeMap<u64, V>,
+    start: u64,
+    end: u128,
+) -> BTreeMap<u64, V> {
+    let mut span = map.split_off(&start);
+    if end <= u64::MAX as u128 {
+        let mut tail = span.split_off(&(end as u64));
+        map.append(&mut tail);
+    }
+    span
 }
 
 /// A replicated-nothing, in-memory KV store routed by a DHT engine.
